@@ -16,7 +16,7 @@ LDFLAGS := -X c3d/pkg/c3d.buildVersion=$(VERSION) \
            -X c3d/pkg/c3d.buildCommit=$(GIT_SHA) \
            -X c3d/pkg/c3d.buildDate=$(BUILD_DATE)
 
-.PHONY: all build binaries test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
+.PHONY: all build binaries test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke perfbench-test ci
 
 all: build
 
@@ -223,4 +223,12 @@ sample-smoke:
 	$(GO) build -ldflags "$(LDFLAGS)" -o /tmp/c3dexp-sample ./cmd/c3dexp
 	$(GO) run ./internal/smoketest/sample -bin /tmp/c3dexp-sample
 
-ci: lint build race bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke
+# The repository benchmark (perfbench/) is its own Go module, so `go vet ./...`
+# and `go test ./...` at the root never reach it; this target vets and tests it
+# against the checkout's simulator (its go.mod replaces c3d with ../). About
+# ten seconds.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+ci: lint build race perfbench-test bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke

@@ -4,8 +4,10 @@
 //
 // The cache stores tags and per-line metadata only — the simulator is
 // trace-driven and never materialises data values. Each line carries a small
-// coherence state byte (interpreted by the owning protocol engine) and a
-// dirty bit. Replacement is true LRU within a set.
+// coherence state byte (interpreted by the owning protocol engine), a dirty
+// bit and a byte of presence bits that an inclusive cache uses to record
+// which upper-level caches may hold the line. Replacement is true LRU within
+// a set.
 package cache
 
 import (
@@ -35,6 +37,23 @@ type Config struct {
 	Ways int
 }
 
+// PresenceBits is the width of a Presence set.
+const PresenceBits = 8
+
+// Presence is the set of upper-level caches (the L1s above an inclusive LLC)
+// that may hold a line. Holder i maps to bit i mod PresenceBits, so wider
+// sockets alias several holders onto one bit. The set is one-sided: a set bit
+// means "may hold" (upper levels evict silently and never clear it), a clear
+// bit means "holds no copy", which stays exact only if every fill of an upper
+// level records its holder.
+type Presence uint8
+
+// PresenceOf returns the presence set holding only holder i.
+func PresenceOf(i int) Presence { return 1 << (i % PresenceBits) }
+
+// Has reports whether holder i may hold the line.
+func (p Presence) Has(i int) bool { return p&PresenceOf(i) != 0 }
+
 // Line is the metadata stored for one cached block. The layout is kept at 16
 // bytes (four lines per hardware cache line) because set scans dominate the
 // simulator's profile: a narrower line means fewer host cache misses per
@@ -49,16 +68,25 @@ type Line struct {
 	State   State
 	Dirty   bool
 	valid   bool
+	// Presence records which upper-level caches may hold the line; it fills
+	// what would otherwise be the struct's padding byte.
+	Presence Presence
 }
 
 // Victim describes a line evicted to make room for a fill.
 type Victim struct {
-	Block addr.Block
-	State State
-	Dirty bool
+	Block    addr.Block
+	State    State
+	Dirty    bool
+	Presence Presence
 	// Valid reports whether anything was actually evicted (false when the
 	// fill found an invalid way).
 	Valid bool
+}
+
+// victimOf returns the eviction record of a valid line.
+func victimOf(l Line) Victim {
+	return Victim{Block: l.Block, State: l.State, Dirty: l.Dirty, Presence: l.Presence, Valid: true}
 }
 
 // Stats holds the access counters of one cache instance.
@@ -231,49 +259,35 @@ func (c *Cache) Contains(b addr.Block) bool {
 
 // Touch is the functional-warming accessor: one set scan that behaves like
 // Lookup-then-Fill without the second scan and without any statistics
-// updates. On a hit it refreshes the line's LRU position — state and dirty
-// bit are left untouched — and reports hit=true. On a miss it installs the
-// block clean in the given state and returns the evicted victim, if any.
-// Neither hits, misses nor fills are counted: Touch exists for fast-forward
-// warming, whose traffic must stay invisible to every measured statistic.
-func (c *Cache) Touch(b addr.Block, st State) (Victim, bool) {
-	set := c.set(b)
-	invalidIdx, lruIdx := -1, 0
-	for i := range set {
-		if set[i].valid {
-			if set[i].Block == b {
-				set[i].lastUse = c.bump()
-				return Victim{}, true
-			}
-			if set[i].lastUse < set[lruIdx].lastUse {
-				lruIdx = i
-			}
-		} else if invalidIdx < 0 {
-			invalidIdx = i
-		}
-	}
-	var victim Victim
-	victimIdx := invalidIdx
-	if victimIdx < 0 {
-		victimIdx = lruIdx
-		v := set[victimIdx]
-		victim = Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
-	}
-	set[victimIdx] = Line{Block: b, State: st, valid: true, lastUse: c.bump()}
-	return victim, false
+// updates. On a hit it refreshes the line's LRU position and adds p to its
+// presence bits — state and dirty bit are left untouched — and reports
+// hit=true. On a miss it installs the block clean in the given state with
+// presence p and returns the evicted victim, if any. Neither hits, misses
+// nor fills are counted: Touch exists for fast-forward warming, whose
+// traffic must stay invisible to every measured statistic.
+func (c *Cache) Touch(b addr.Block, st State, p Presence) (Victim, bool) {
+	return c.touch(b, st, false, p)
 }
 
 // TouchDirty is Touch's store flavour: one statistics-free scan that on a hit
-// upgrades the line to st, sets its dirty bit and refreshes its LRU position,
-// and on a miss installs the block dirty in st, returning the victim.
-func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
+// upgrades the line to st, sets its dirty bit, adds p to its presence bits
+// and refreshes its LRU position, and on a miss installs the block dirty in
+// st with presence p, returning the victim.
+func (c *Cache) TouchDirty(b addr.Block, st State, p Presence) (Victim, bool) {
+	return c.touch(b, st, true, p)
+}
+
+func (c *Cache) touch(b addr.Block, st State, dirty bool, p Presence) (Victim, bool) {
 	set := c.set(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
 		if set[i].valid {
 			if set[i].Block == b {
-				set[i].State = st
-				set[i].Dirty = true
+				if dirty {
+					set[i].State = st
+					set[i].Dirty = true
+				}
+				set[i].Presence |= p
 				set[i].lastUse = c.bump()
 				return Victim{}, true
 			}
@@ -288,10 +302,9 @@ func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
 	victimIdx := invalidIdx
 	if victimIdx < 0 {
 		victimIdx = lruIdx
-		v := set[victimIdx]
-		victim = Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
+		victim = victimOf(set[victimIdx])
 	}
-	set[victimIdx] = Line{Block: b, State: st, Dirty: true, valid: true, lastUse: c.bump()}
+	set[victimIdx] = Line{Block: b, State: st, Dirty: dirty, valid: true, Presence: p, lastUse: c.bump()}
 	return victim, false
 }
 
@@ -328,12 +341,14 @@ func (c *Cache) TouchState(b addr.Block, st State) (State, bool) {
 	return StateInvalid, false
 }
 
-// Fill inserts block b with the given state and dirty flag, evicting the LRU
-// line of the set if necessary. The evicted line (if any) is returned so the
-// caller can propagate write-backs or victim-cache fills. Filling a block
-// that is already present updates its state in place and returns an invalid
-// victim.
-func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
+// Fill inserts block b with the given state, dirty flag and presence bits,
+// evicting the LRU line of the set if necessary. The evicted line (if any) is
+// returned so the caller can propagate write-backs, victim-cache fills and
+// back-invalidations of the upper levels its presence bits name. Filling a
+// block that is already present updates its state in place, adds p to its
+// presence bits and returns an invalid victim. Caches that track no upper
+// level pass p = 0.
+func (c *Cache) Fill(b addr.Block, st State, dirty bool, p Presence) Victim {
 	if st == StateInvalid {
 		panic(fmt.Sprintf("cache %s: Fill with invalid state", c.cfg.Name))
 	}
@@ -344,6 +359,7 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 		if set[i].valid && set[i].Block == b {
 			set[i].State = st
 			set[i].Dirty = set[i].Dirty || dirty
+			set[i].Presence |= p
 			set[i].lastUse = c.bump()
 			return Victim{}
 		}
@@ -365,14 +381,13 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 				victimIdx = i
 			}
 		}
-		v := set[victimIdx]
-		victim = Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
+		victim = victimOf(set[victimIdx])
 		c.stats.Evictions++
-		if v.Dirty {
+		if victim.Dirty {
 			c.stats.DirtyEvict++
 		}
 	}
-	set[victimIdx] = Line{Block: b, State: st, Dirty: dirty, valid: true, lastUse: c.bump()}
+	set[victimIdx] = Line{Block: b, State: st, Dirty: dirty, valid: true, Presence: p, lastUse: c.bump()}
 	return victim
 }
 
@@ -382,10 +397,10 @@ func (c *Cache) Invalidate(b addr.Block) Victim {
 	set := c.set(b)
 	for i := range set {
 		if set[i].valid && set[i].Block == b {
-			v := set[i]
+			v := victimOf(set[i])
 			set[i] = Line{}
 			c.stats.Invalidate++
-			return Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
+			return v
 		}
 	}
 	return Victim{}

@@ -52,7 +52,7 @@ func TestMissThenHit(t *testing.T) {
 	if _, hit := c.Lookup(b); hit {
 		t.Fatal("empty cache should miss")
 	}
-	c.Fill(b, stS, false)
+	c.Fill(b, stS, false, 0)
 	line, hit := c.Lookup(b)
 	if !hit || line.Block != b || line.State != stS {
 		t.Fatalf("expected hit on filled block, got %+v hit=%v", line, hit)
@@ -80,17 +80,17 @@ func TestFillInvalidStatePanics(t *testing.T) {
 			t.Error("expected panic on Fill(StateInvalid)")
 		}
 	}()
-	c.Fill(1, StateInvalid, false)
+	c.Fill(1, StateInvalid, false, 0)
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := small() // 8 sets, 2 ways; blocks that differ by 8 map to the same set
 	b0, b1, b2 := addr.Block(0), addr.Block(8), addr.Block(16)
-	c.Fill(b0, stS, false)
-	c.Fill(b1, stS, false)
+	c.Fill(b0, stS, false, 0)
+	c.Fill(b1, stS, false, 0)
 	// Touch b0 so b1 becomes LRU.
 	c.Lookup(b0)
-	v := c.Fill(b2, stS, false)
+	v := c.Fill(b2, stS, false, 0)
 	if !v.Valid || v.Block != b1 {
 		t.Fatalf("expected b1 evicted, got %+v", v)
 	}
@@ -104,9 +104,9 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyEvictionReported(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(0), stM, true)
-	c.Fill(addr.Block(8), stS, false)
-	v := c.Fill(addr.Block(16), stS, false) // evicts LRU = block 0 (dirty)
+	c.Fill(addr.Block(0), stM, true, 0)
+	c.Fill(addr.Block(8), stS, false, 0)
+	v := c.Fill(addr.Block(16), stS, false, 0) // evicts LRU = block 0 (dirty)
 	if !v.Valid || !v.Dirty || v.Block != 0 {
 		t.Fatalf("expected dirty victim of block 0, got %+v", v)
 	}
@@ -117,8 +117,8 @@ func TestDirtyEvictionReported(t *testing.T) {
 
 func TestFillExistingUpdatesInPlace(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(3), stS, false)
-	v := c.Fill(addr.Block(3), stM, true)
+	c.Fill(addr.Block(3), stS, false, 0)
+	v := c.Fill(addr.Block(3), stM, true, 0)
 	if v.Valid {
 		t.Fatal("refill of present block should not evict")
 	}
@@ -133,13 +133,13 @@ func TestFillExistingUpdatesInPlace(t *testing.T) {
 
 func TestProbeDoesNotPerturb(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(0), stS, false)
-	c.Fill(addr.Block(8), stS, false)
+	c.Fill(addr.Block(0), stS, false, 0)
+	c.Fill(addr.Block(8), stS, false, 0)
 	// Probe b0 (should NOT refresh LRU), then fill a conflicting block:
 	// the victim must be b0 because probes don't touch recency.
 	c.Probe(addr.Block(0))
 	before := c.Stats()
-	v := c.Fill(addr.Block(16), stS, false)
+	v := c.Fill(addr.Block(16), stS, false, 0)
 	if v.Block != 0 {
 		t.Errorf("probe perturbed LRU; victim = %+v", v)
 	}
@@ -150,7 +150,7 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(7), stM, true)
+	c.Fill(addr.Block(7), stM, true, 0)
 	v := c.Invalidate(addr.Block(7))
 	if !v.Valid || !v.Dirty || v.State != stM {
 		t.Fatalf("invalidate victim %+v", v)
@@ -168,7 +168,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestSetState(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(9), stS, false)
+	c.Fill(addr.Block(9), stS, false, 0)
 	if !c.SetState(addr.Block(9), stM) {
 		t.Fatal("SetState on present block returned false")
 	}
@@ -190,7 +190,7 @@ func TestSetState(t *testing.T) {
 
 func TestCleanBlock(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(2), stM, true)
+	c.Fill(addr.Block(2), stM, true, 0)
 	if !c.CleanBlock(addr.Block(2)) {
 		t.Fatal("CleanBlock on present block returned false")
 	}
@@ -205,9 +205,9 @@ func TestCleanBlock(t *testing.T) {
 
 func TestFlushAndForEach(t *testing.T) {
 	c := small()
-	c.Fill(addr.Block(1), stS, false)
-	c.Fill(addr.Block(2), stM, true)
-	c.Fill(addr.Block(3), stM, true)
+	c.Fill(addr.Block(1), stS, false, 0)
+	c.Fill(addr.Block(2), stM, true, 0)
+	c.Fill(addr.Block(3), stM, true, 0)
 	count := 0
 	c.ForEach(func(Line) { count++ })
 	if count != 3 {
@@ -225,7 +225,7 @@ func TestFlushAndForEach(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	c := small()
 	c.Lookup(addr.Block(1))
-	c.Fill(addr.Block(1), stS, false)
+	c.Fill(addr.Block(1), stS, false, 0)
 	c.ResetStats()
 	if c.Stats() != (Stats{}) {
 		t.Errorf("stats not cleared: %+v", c.Stats())
@@ -240,8 +240,8 @@ func TestDirectMapped(t *testing.T) {
 	if c.Sets() != 4 || c.Ways() != 1 {
 		t.Fatalf("geometry %d sets %d ways", c.Sets(), c.Ways())
 	}
-	c.Fill(addr.Block(0), stS, false)
-	v := c.Fill(addr.Block(4), stS, false) // conflicts with block 0
+	c.Fill(addr.Block(0), stS, false, 0)
+	v := c.Fill(addr.Block(4), stS, false, 0) // conflicts with block 0
 	if !v.Valid || v.Block != 0 {
 		t.Fatalf("direct-mapped conflict eviction failed: %+v", v)
 	}
@@ -255,7 +255,7 @@ func TestOccupancyProperty(t *testing.T) {
 		capacity := int(c.Capacity() / addr.BlockBytes)
 		for _, b := range blocks {
 			blk := addr.Block(b)
-			c.Fill(blk, stS, b%3 == 0)
+			c.Fill(blk, stS, b%3 == 0, 0)
 			if !c.Contains(blk) {
 				return false
 			}
@@ -280,7 +280,7 @@ func TestFillInvalidateProperty(t *testing.T) {
 		for _, op := range ops {
 			blk := addr.Block(op % 64)
 			if op%2 == 0 {
-				c.Fill(blk, stS, false)
+				c.Fill(blk, stS, false, 0)
 				if !c.Contains(blk) {
 					return false
 				}
@@ -302,7 +302,7 @@ func BenchmarkLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	c := New(Config{Name: "bench", SizeBytes: 1 << 20, Ways: 16})
 	for i := 0; i < 1024; i++ {
-		c.Fill(addr.Block(i), stS, false)
+		c.Fill(addr.Block(i), stS, false, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,7 +314,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 	b.ReportAllocs()
 	c := New(Config{Name: "bench", SizeBytes: 1 << 20, Ways: 16})
 	for i := 0; i < 1024; i++ {
-		c.Fill(addr.Block(i), stS, false)
+		c.Fill(addr.Block(i), stS, false, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -327,6 +327,6 @@ func BenchmarkFillEvict(b *testing.B) {
 	c := New(Config{Name: "bench", SizeBytes: 1 << 18, Ways: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Fill(addr.Block(i), stS, false)
+		c.Fill(addr.Block(i), stS, false, 0)
 	}
 }

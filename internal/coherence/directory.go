@@ -236,23 +236,9 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		// Prefer the least recently used *stale* entry (its block has left
 		// every cache, so no recall invalidation is needed); fall back to
 		// plain LRU when every entry is still live or no predicate is set.
-		lru, lruStale := 0, -1
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[lru].lastUse {
-				lru = i
-			}
-		}
-		if d.stale != nil {
-			for i := range set {
-				if d.stale(set[i].block) && (lruStale < 0 || set[i].lastUse < set[lruStale].lastUse) {
-					lruStale = i
-				}
-			}
-		}
-		if lruStale >= 0 {
-			victim = lruStale
-		} else {
-			victim = lru
+		victim = d.oldestStale(set)
+		if victim < 0 {
+			victim = oldestAfter(set, 0)
 			recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
 			d.stats.Recalls++
 		}
@@ -260,6 +246,43 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 	d.tick++
 	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: d.tick}
 	return recall
+}
+
+// oldestStale returns the index of the least recently used entry of a full
+// set whose block the stale predicate reports uncached, or -1 when none is
+// (or no predicate is set). It asks the predicate about ways in ascending
+// lastUse order and stops at the first stale one: lastUse values are unique
+// within a set, so this is the entry an exhaustive scan would pick, found
+// after one or two predicate calls instead of one per way. The predicate is
+// the expensive part (it probes every LLC), and the repeated selection costs
+// only integer compares, so the search makes no assumption about Ways.
+func (d *Directory) oldestStale(set []dirLine) int {
+	if d.stale == nil {
+		return -1
+	}
+	var after uint64
+	for range set {
+		i := oldestAfter(set, after)
+		if d.stale(set[i].block) {
+			return i
+		}
+		after = set[i].lastUse
+	}
+	return -1
+}
+
+// oldestAfter returns the index of the entry with the smallest lastUse
+// greater than after, in a full set whose lastUse values are unique and
+// positive (after = 0 finds the LRU entry). The caller guarantees such an
+// entry exists.
+func oldestAfter(set []dirLine, after uint64) int {
+	best := -1
+	for i := range set {
+		if u := set[i].lastUse; u > after && (best < 0 || u < set[best].lastUse) {
+			best = i
+		}
+	}
+	return best
 }
 
 // Remove deletes the entry for block b if present and reports whether it was

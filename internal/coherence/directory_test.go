@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -209,5 +210,86 @@ func TestDirectorySparseCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// exhaustiveStaleVictim is the reference replacement choice: the least
+// recently used entry among every stale way, found by asking the predicate
+// about every way.
+func exhaustiveStaleVictim(set []dirLine, stale func(addr.Block) bool) int {
+	best := -1
+	for i := range set {
+		if stale(set[i].block) && (best < 0 || set[i].lastUse < set[best].lastUse) {
+			best = i
+		}
+	}
+	return best
+}
+
+// The oldest-first stale search must pick exactly the way the exhaustive scan
+// picks, at associativities above 64 too, and must stop at the first stale
+// way: one predicate call when the LRU way is stale.
+func TestDirectoryOldestFirstStaleVictim(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, ways := range []int{2, 32, 64, 96, 200} {
+		for trial := 0; trial < 40; trial++ {
+			d := newSparseDir(ways, ways) // one set: every block collides
+			stale := map[addr.Block]bool{}
+			calls := 0
+			d.SetStalePredicate(func(b addr.Block) bool { calls++; return stale[b] })
+
+			// Fill the set, then scramble its LRU order with lookups.
+			for i := 0; i < ways; i++ {
+				d.Update(addr.Block(i), Entry{State: DirShared, Sharers: NewSharerSet(0)})
+			}
+			for i := 0; i < 3*ways; i++ {
+				d.Lookup(addr.Block(rng.Intn(ways)))
+			}
+			for i := 0; i < ways; i++ {
+				if rng.Intn(8) == 0 {
+					stale[addr.Block(i)] = true
+				}
+			}
+			set := d.lines[:ways]
+			want := exhaustiveStaleVictim(set, func(b addr.Block) bool { return stale[b] })
+			wantRecall := want < 0
+			if want < 0 {
+				want = oldestAfter(set, 0)
+			}
+			wantBlock := set[want].block
+
+			calls = 0
+			newBlock := addr.Block(ways + trial)
+			recall := d.Update(newBlock, Entry{State: DirShared, Sharers: NewSharerSet(1)})
+			if recall.Valid != wantRecall || (wantRecall && recall.Block != wantBlock) {
+				t.Fatalf("ways=%d trial=%d: recall %+v, want recall=%v of block %d", ways, trial, recall, wantRecall, wantBlock)
+			}
+			if _, ok := d.Probe(wantBlock); ok {
+				t.Fatalf("ways=%d trial=%d: block %d should have been replaced", ways, trial, wantBlock)
+			}
+			if _, ok := d.Probe(newBlock); !ok {
+				t.Fatalf("ways=%d trial=%d: new block not installed", ways, trial)
+			}
+			if wantRecall && calls != ways {
+				t.Errorf("ways=%d trial=%d: %d predicate calls with no stale way, want %d", ways, trial, calls, ways)
+			}
+		}
+
+		// LRU way stale: exactly one predicate call.
+		d := newSparseDir(ways, ways)
+		for i := 0; i < ways; i++ {
+			d.Update(addr.Block(i), Entry{State: DirShared, Sharers: NewSharerSet(0)})
+		}
+		calls := 0
+		d.SetStalePredicate(func(b addr.Block) bool { calls++; return b == 0 })
+		if recall := d.Update(addr.Block(ways), Entry{State: DirShared}); recall.Valid {
+			t.Errorf("ways=%d: stale LRU way recalled: %+v", ways, recall)
+		}
+		if calls != 1 {
+			t.Errorf("ways=%d: %d predicate calls with a stale LRU way, want 1", ways, calls)
+		}
+		if _, ok := d.Probe(0); ok {
+			t.Errorf("ways=%d: stale LRU block 0 still present", ways)
+		}
 	}
 }

@@ -349,7 +349,7 @@ func (c *Cache) Fill(now sim.Time, b addr.Block, st cache.State, dirty bool) Fil
 	}
 	c.stats.Fills++
 	c.note(b)
-	victim := c.tags.Fill(b, st, dirty)
+	victim := c.tags.Fill(b, st, dirty, 0)
 	if victim.Valid {
 		c.stats.Evictions++
 		if victim.Dirty {
@@ -381,9 +381,9 @@ func (c *Cache) Warm(b addr.Block, st cache.State, dirty bool) {
 	var victim cache.Victim
 	var hit bool
 	if dirty {
-		victim, hit = c.tags.TouchDirty(b, st)
+		victim, hit = c.tags.TouchDirty(b, st, 0)
 	} else {
-		victim, hit = c.tags.Touch(b, st)
+		victim, hit = c.tags.Touch(b, st, 0)
 	}
 	if hit || c.predictor == nil {
 		return

@@ -9,8 +9,8 @@ import (
 )
 
 // The ablations below are not figures from the paper; they isolate the two
-// design decisions C3D is built on (DESIGN.md motivates them from §II-C and
-// §IV):
+// design decisions C3D is built on, as motivated in §II-C and §IV of the
+// paper (hence the "§II-C, §IV (ext.)" tag in the experiment registry):
 //
 //   - the private-versus-shared DRAM cache organisation question of §II-C;
 //   - the clean-cache property and the non-inclusive directory, separated by

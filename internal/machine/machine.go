@@ -153,8 +153,9 @@ func (m *Machine) Read(now sim.Time, coreID int, a addr.Addr) sim.Time {
 	}
 	// LLC (the local directory lookup is part of the LLC tag access).
 	m.counters.llcAccesses++
-	if _, hit := sock.llc.Lookup(b); hit {
+	if line, hit := sock.llc.Lookup(b); hit {
 		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
+		line.Presence |= sock.presenceOf(coreID)
 		m.fillL1(sock, coreID, b, coherence.LineShared)
 		m.counters.loadLatency.Observe(uint64(t.Sub(now)))
 		return t
@@ -222,11 +223,13 @@ func (m *Machine) classify(coreID int, a addr.Addr) {
 	m.classifier.Access(page, coreID, coreID)
 }
 
-// fillL1 installs the block in the requesting core's L1. L1 victims are
+// fillL1 installs the block in the requesting core's L1; the caller has
+// already recorded the core in the LLC line's presence bits. L1 victims are
 // dropped silently: the L1s are write-through into the LLC, so no data is
-// lost and the LLC inclusive copy keeps intra-socket coherence simple.
+// lost and the LLC inclusive copy keeps intra-socket coherence simple (the
+// victim's presence bit stays set, which is conservative).
 func (m *Machine) fillL1(sock *Socket, coreID int, b addr.Block, st cache.State) {
-	sock.l1Of(coreID).Fill(b, st, false)
+	sock.l1Of(coreID).Fill(b, st, false, 0)
 }
 
 // markLLCDirty marks the block dirty in the LLC (stores are write-through
@@ -238,15 +241,14 @@ func (m *Machine) markLLCDirty(sock *Socket, b addr.Block) {
 	}
 }
 
-// fillLLC installs the block in the socket's LLC and routes the victim (if
-// any) to the engine's eviction handler.
+// fillLLC installs the block in the socket's LLC with the requesting core
+// recorded in its presence bits (its L1 fill follows) and routes the victim
+// (if any) to the engine's eviction handler.
 func (m *Machine) fillLLC(now sim.Time, sock *Socket, coreID int, b addr.Block, st cache.State, dirty bool) {
-	victim := sock.llc.Fill(b, st, dirty)
+	victim := sock.llc.Fill(b, st, dirty, sock.presenceOf(coreID))
 	if victim.Valid {
 		// The victim also disappears from the L1s (inclusive hierarchy).
-		for _, l1 := range sock.l1s {
-			l1.Invalidate(victim.Block)
-		}
+		sock.invalidateL1s(victim.Presence, -1, victim.Block)
 		m.engine.LLCEvict(now, sock, victim)
 	}
 }
@@ -390,10 +392,17 @@ func (m *Machine) resetStats() {
 }
 
 // CheckInvariants verifies cross-cutting invariants after a run; it returns
-// an error describing the first violation. The headline check is the clean
-// property: a C3D machine must never hold a dirty block in any DRAM cache.
+// an error describing the first violation. It checks, for every socket:
+//   - inclusion: each valid L1 line has a valid LLC line, whose presence bits
+//     name that L1 (the back-invalidation sweeps visit only the L1s those
+//     bits name, so a missing bit would leave a stale copy behind);
+//   - the clean property: a C3D machine must never hold a dirty block in any
+//     DRAM cache.
 func (m *Machine) CheckInvariants() error {
 	for _, s := range m.sockets {
+		if err := s.checkInclusion(); err != nil {
+			return err
+		}
 		if s.dramCache == nil {
 			continue
 		}

@@ -42,7 +42,10 @@ type SamplingResult struct {
 const ffPageMemoSize = 256
 
 // ffCore is the per-core state of the functional-warming fast path: the
-// socket and L1 resolved once per run instead of per record, plus two memos.
+// socket, L1 and LLC presence bit resolved once per run instead of per
+// record, plus two memos. Back-invalidation sweeps need no private filter:
+// warming records every L1 fill in the LLC line's presence bits exactly as
+// the detailed path does, so both paths visit only the L1s those bits name.
 //
 // The page memo records pages this core has already pushed through the
 // classifier. Skipping repeats is exact because the classifier's transitions
@@ -65,6 +68,7 @@ const ffPageMemoSize = 256
 type ffCore struct {
 	sock *Socket
 	l1   *cache.Cache
+	bit  cache.Presence   // this core's bit in its socket's LLC presence sets
 	dc   *dramcache.Cache // nil for designs without a DRAM cache
 	// pageMemo holds page+1 (so the zero value misses) in a direct-mapped
 	// table; collisions just repeat a harmless classifier no-op.
@@ -80,20 +84,7 @@ type ffCore struct {
 	// reclassification epoch, which advances on exactly the transitions that
 	// could revoke it. Direct-mapped on the page number.
 	privMemo [ffPrivMemoSize]privEntry
-	// l1Filter is a one-sided presence filter over every L1 of this core's
-	// socket: a clear bit proves no local L1 holds the block, a set bit means
-	// "maybe". It is rebuilt from the actual L1 contents at the start of each
-	// fast-forward segment and only ever gains bits afterwards (from this
-	// core's own fills — the one way lines appear while it runs, since cores
-	// fast-forward serially and sweeps only remove lines), so it stays
-	// conservative and lets the eviction/write sweeps skip scanning eight
-	// L1 sets for blocks provably absent.
-	l1Filter [l1FilterWords]uint64
 }
-
-// l1FilterWords sizes the per-socket L1 presence filter (4096 bits — an
-// order of magnitude above the lines eight quick-scale L1s can hold).
-const l1FilterWords = 64
 
 // ffPrivMemoSize is the direct-mapped privacy-memo size (a power of two).
 const ffPrivMemoSize = 256
@@ -103,32 +94,6 @@ type privEntry struct {
 	page  uint64
 	epoch uint64
 	priv  bool
-}
-
-func l1Slot(b addr.Block) (int, uint64) {
-	h := uint64(b) * 0x9e3779b97f4a7c15
-	h >>= 64 - 12 // log2(l1FilterWords*64) bits
-	return int(h >> 6), 1 << (h & 63)
-}
-
-// noteL1 records b as possibly held by a local L1.
-func (ff *ffCore) noteL1(b addr.Block) {
-	w, bit := l1Slot(b)
-	ff.l1Filter[w] |= bit
-}
-
-// l1MayHold reports whether a local L1 could hold b; false is exact.
-func (ff *ffCore) l1MayHold(b addr.Block) bool {
-	w, bit := l1Slot(b)
-	return ff.l1Filter[w]&bit != 0
-}
-
-// rebuildL1Filter resets the filter to the socket's current L1 contents.
-func (ff *ffCore) rebuildL1Filter() {
-	ff.l1Filter = [l1FilterWords]uint64{}
-	for _, l1 := range ff.sock.l1s {
-		l1.ForEach(func(l cache.Line) { ff.noteL1(l.Block) })
-	}
 }
 
 // touch is the functional-warming path used during fast-forward stretches: it
@@ -171,22 +136,17 @@ func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 	}
 	ff.lastBlockMod = false
 	// Touch installs on miss, so an L1 hit is the whole fast path; an L1 miss
-	// leaves b installed there and only the LLC remains. L1 victims are
-	// dropped silently (the L1s are write-through into the inclusive LLC).
-	ff.noteL1(b)
-	if _, hit := ff.l1.Touch(b, coherence.LineShared); hit {
+	// leaves b installed there and only the LLC remains, which records this
+	// core in b's presence bits. L1 victims are dropped silently (the L1s
+	// are write-through into the inclusive LLC).
+	if _, hit := ff.l1.Touch(b, coherence.LineShared, 0); hit {
 		return
 	}
-	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared); !hit && victim.Valid {
+	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared, ff.bit); !hit && victim.Valid {
 		// Keep the hierarchy inclusive; the write-back (if the victim was
 		// dirty) is only a statistic, and fast-forward produces none. The
-		// victim is usually the set's coldest line and long gone from every
-		// L1, so the filter skips most of these eight-way sweeps.
-		if ff.l1MayHold(victim.Block) {
-			for _, l1 := range ff.sock.l1s {
-				l1.Invalidate(victim.Block)
-			}
-		}
+		// sweep visits only the L1s the victim's presence bits name.
+		ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
 		// Every design with a DRAM cache runs it as an LLC victim cache, so
 		// fast-forwarded evictions must land there too — a cold DRAM cache
 		// is the single largest warming bias (every measured-window miss
@@ -205,10 +165,6 @@ func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 // copy on the machine is dropped, the same end state the detailed engines
 // converge to, produced without any coherence, fabric or statistic events.
 func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
-	// Sampled before this write plants its own copy: does any local L1
-	// possibly hold b? A clear bit makes the local sweep below a proven
-	// no-op even when the page is shared.
-	mayLocal := ff.l1MayHold(b)
 	// One scan takes the line Modified in the L1 whether it was held Shared,
 	// held Modified or absent. Ownership already exclusive (the common
 	// write-hit fast path) means only the LLC dirty bit needs refreshing.
@@ -219,8 +175,6 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 			}
 			return
 		}
-	} else {
-		ff.noteL1(b)
 	}
 	// §IV-D's insight applies to warming too: a page still private to this
 	// thread has never been touched by any other thread, so no cache on the
@@ -242,11 +196,9 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 			if other == ff.sock {
 				continue
 			}
-			// The hierarchy is inclusive, so an LLC miss proves no L1 holds
-			// the line either: one probe gates the whole on-chip sweep.
-			if _, onChip := other.llc.Probe(b); onChip {
-				other.invalidateOnChip(b)
-			}
+			// The hierarchy is inclusive, so this costs one LLC probe plus
+			// the L1s the LLC line's presence bits name.
+			other.invalidateOnChip(b)
 			// Detailed write misses invalidate remote DRAM caches in every
 			// DRAM-cache design (snoop invalidation, directory recall or
 			// broadcast); leaving stale remote copies would hand the snoopy
@@ -258,19 +210,13 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 				other.dramCache.WarmInvalidate(b)
 			}
 		}
-		if mayLocal {
-			ff.sock.invalidateL1sExcept(coreID, b)
-		}
+		ff.sock.invalidateL1sExcept(coreID, b)
 	}
 	if ff.dc != nil {
 		ff.dc.WarmWrite(b)
 	}
-	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified); !hit && victim.Valid {
-		if ff.l1MayHold(victim.Block) {
-			for _, l1 := range ff.sock.l1s {
-				l1.Invalidate(victim.Block)
-			}
-		}
+	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified, ff.bit); !hit && victim.Valid {
+		ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
 		if ff.dc != nil {
 			ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
 		}
@@ -442,7 +388,7 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	ffCores := make([]ffCore, len(cores))
 	for i, cr := range cores {
 		sock := m.socketOf(cr.idx)
-		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), dc: sock.dramCache}
+		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), bit: sock.presenceOf(cr.idx), dc: sock.dramCache}
 	}
 
 	ffOne := func(cr *coreRunner, ffc *ffCore, target int) error {
@@ -450,9 +396,6 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 		// the TLB LRU, so the first record always classifies in full.
 		ffc.hasLastB = false
 		ffc.lastBlockMod = false
-		// Other cores (and detailed phases) changed the socket's L1s since
-		// this core last ran, so the presence filter restarts from truth.
-		ffc.rebuildL1Filter()
 		// Drain the record exhausted() may have prefetched, then fast-forward
 		// in slices when the reader supports it: one bounds-checked window
 		// per stretch instead of an interface call per record.

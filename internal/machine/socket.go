@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"c3d/internal/addr"
 	"c3d/internal/cache"
@@ -17,6 +18,15 @@ import (
 // Socket is one NUMA socket: its cores with private L1s, the shared LLC, the
 // optional DRAM cache, the memory controller owning this socket's share of
 // physical memory, and this socket's slice of the global directory.
+//
+// The LLC is inclusive of the L1s, and each LLC line's presence bits record
+// which local cores' L1s may hold it (local core i maps to bit i mod
+// cache.PresenceBits). Every L1 fill sets its core's bit, in detailed runs
+// and in functional warming alike, so a clear bit is exact; L1s evict
+// silently, so a set bit only means "may hold". Back-invalidations, probes
+// and downgrades therefore visit only the L1s the bits name, and an LLC miss
+// proves no L1 on the socket holds the block. Machine.CheckInvariants
+// verifies both halves of this contract.
 type Socket struct {
 	id  int
 	cfg Config
@@ -103,15 +113,21 @@ func (s *Socket) DRAMCache() *dramcache.Cache { return s.dramCache }
 // Memory returns the socket's memory controller.
 func (s *Socket) Memory() *dram.Controller { return s.mem }
 
-// l1Of returns the L1 of the given global core id (which must belong to this
-// socket).
-func (s *Socket) l1Of(coreID int) *cache.Cache {
+// local returns the socket-local index of the given global core id (which
+// must belong to this socket).
+func (s *Socket) local(coreID int) int {
 	local := coreID - s.id*s.cfg.CoresPerSocket
 	if local < 0 || local >= len(s.l1s) {
 		panic(fmt.Sprintf("machine: core %d does not belong to socket %d", coreID, s.id))
 	}
-	return s.l1s[local]
+	return local
 }
+
+// l1Of returns the L1 of the given global core id.
+func (s *Socket) l1Of(coreID int) *cache.Cache { return s.l1s[s.local(coreID)] }
+
+// presenceOf returns the LLC presence bit of the given global core id.
+func (s *Socket) presenceOf(coreID int) cache.Presence { return cache.PresenceOf(s.local(coreID)) }
 
 // tlbOf returns the TLB of the given global core id.
 func (s *Socket) tlbOf(coreID int) *tlb.TLB {
@@ -119,61 +135,107 @@ func (s *Socket) tlbOf(coreID int) *tlb.TLB {
 	return s.tlbs[local]
 }
 
-// probeOnChip checks whether the block is present in the socket's on-chip
-// hierarchy (LLC or any L1) without disturbing replacement state. It returns
-// the "strongest" state found and whether any copy is dirty.
-func (s *Socket) probeOnChip(b addr.Block) (state cache.State, dirty, present bool) {
-	if line, ok := s.llc.Probe(b); ok {
-		state, dirty, present = line.State, line.Dirty, true
-	}
-	for _, l1 := range s.l1s {
-		if line, ok := l1.Probe(b); ok {
-			present = true
-			if line.State > state {
-				state = line.State
+// invalidateL1s removes the block from every L1 the presence set names,
+// except the L1 with local index skip (-1 skips none). Local core i maps to
+// bit i mod cache.PresenceBits, so each set bit covers every core aliased
+// onto it.
+func (s *Socket) invalidateL1s(p cache.Presence, skip int, b addr.Block) {
+	for ; p != 0; p &= p - 1 {
+		for i := bits.TrailingZeros8(uint8(p)); i < len(s.l1s); i += cache.PresenceBits {
+			if i != skip {
+				s.l1s[i].Invalidate(b)
 			}
 		}
 	}
-	return state, dirty, present
 }
 
-// invalidateOnChip removes the block from the LLC and every L1 of the socket.
-// It returns the former LLC metadata (the L1s are write-through to the LLC,
-// so the LLC's dirty bit is authoritative).
-func (s *Socket) invalidateOnChip(b addr.Block) cache.Victim {
-	for _, l1 := range s.l1s {
-		l1.Invalidate(b)
+// probeOnChip checks whether the block is present in the socket's on-chip
+// hierarchy (LLC or any L1) without disturbing replacement state. It returns
+// the "strongest" state found and whether any copy is dirty. The LLC is
+// inclusive of the L1s, so an LLC miss ends the probe and a hit probes only
+// the L1s its presence bits name.
+func (s *Socket) probeOnChip(b addr.Block) (state cache.State, dirty, present bool) {
+	line, ok := s.llc.Probe(b)
+	if !ok {
+		return 0, false, false
 	}
-	return s.llc.Invalidate(b)
+	state, dirty = line.State, line.Dirty
+	for i, l1 := range s.l1s {
+		if !line.Presence.Has(i) {
+			continue
+		}
+		if l1Line, ok := l1.Probe(b); ok && l1Line.State > state {
+			state = l1Line.State
+		}
+	}
+	return state, dirty, true
+}
+
+// invalidateOnChip removes the block from the LLC and every L1 of the socket
+// its presence bits name. It returns the former LLC metadata (the L1s are
+// write-through to the LLC, so the LLC's dirty bit is authoritative).
+func (s *Socket) invalidateOnChip(b addr.Block) cache.Victim {
+	v := s.llc.Invalidate(b)
+	if v.Valid {
+		s.invalidateL1s(v.Presence, -1, b)
+	}
+	return v
 }
 
 // invalidateL1sExcept removes the block from every L1 on the socket except
-// the writer's, which is about to install the block in Modified state.
+// the writer's, which is about to install (or already holds) the block in
+// Modified state; the LLC line's presence bits are left naming the writer
+// alone. An LLC miss means no L1 holds the block.
 func (s *Socket) invalidateL1sExcept(coreID int, b addr.Block) {
-	for i, l1 := range s.l1s {
-		if s.id*s.cfg.CoresPerSocket+i == coreID {
-			continue
-		}
-		l1.Invalidate(b)
+	line, ok := s.llc.Probe(b)
+	if !ok {
+		return
 	}
+	local := s.local(coreID)
+	s.invalidateL1s(line.Presence, local, b)
+	line.Presence = cache.PresenceOf(local)
 }
 
 // downgradeOnChip transitions the block to Shared in the LLC and every L1
 // holding it, clearing dirty bits (the caller is responsible for writing the
 // data back to memory). It reports whether the block was present on-chip.
 func (s *Socket) downgradeOnChip(b addr.Block) bool {
-	present := false
-	if s.llc.SetState(b, coherence.LineShared) {
-		s.llc.CleanBlock(b)
-		present = true
+	line, ok := s.llc.Probe(b)
+	if !ok {
+		return false
 	}
-	for _, l1 := range s.l1s {
-		if l1.SetState(b, coherence.LineShared) {
+	line.State, line.Dirty = coherence.LineShared, false
+	for i, l1 := range s.l1s {
+		if line.Presence.Has(i) && l1.SetState(b, coherence.LineShared) {
 			l1.CleanBlock(b)
-			present = true
 		}
 	}
-	return present
+	return true
+}
+
+// checkInclusion reports the first L1 line whose block is missing from the
+// LLC or whose LLC line's presence bits do not name that L1.
+func (s *Socket) checkInclusion() error {
+	var err error
+	for i, l1 := range s.l1s {
+		coreID := s.id*s.cfg.CoresPerSocket + i
+		l1.ForEach(func(l cache.Line) {
+			if err != nil {
+				return
+			}
+			switch line, ok := s.llc.Probe(l.Block); {
+			case !ok:
+				err = fmt.Errorf("machine: core %d L1 holds block %#x absent from socket %d's LLC", coreID, uint64(l.Block), s.id)
+			case !line.Presence.Has(i):
+				err = fmt.Errorf("machine: core %d L1 holds block %#x but socket %d's LLC presence bits %08b omit it",
+					coreID, uint64(l.Block), s.id, uint8(line.Presence))
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // reset returns every component of the socket to its just-constructed state:

@@ -83,9 +83,24 @@ func (r *Resource) serviceTime(bytes int) Cycles {
 // place finds the earliest start >= now at which a transfer of the given
 // service duration fits between existing reservations, returning the start
 // time and the index at which the new interval should be inserted.
+//
+// Reservations never overlap, so their ends ascend with their starts: a
+// binary search skips every reservation ending at or before now (the scan
+// below would skip them one by one), and the scan resumes from the first
+// reservation that can still collide.
 func (r *Resource) place(now Time, service Cycles) (Time, int) {
+	lo, hi := 0, len(r.reservations)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.reservations[mid].end <= now {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	start := now
-	for i, res := range r.reservations {
+	for i := lo; i < len(r.reservations); i++ {
+		res := r.reservations[i]
 		if res.end <= start {
 			continue
 		}

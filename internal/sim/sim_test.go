@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -288,5 +289,76 @@ func TestResourceOutOfOrderBounded(t *testing.T) {
 	}
 	if done != 20 {
 		t.Errorf("done = %v, want 20", done)
+	}
+}
+
+// linearPlace is the reservation search as a plain scan from the first
+// reservation, kept here as the reference the binary-searched place must
+// match exactly.
+func linearPlace(rs []interval, now Time, service Cycles) (Time, int) {
+	start := now
+	for i, res := range rs {
+		if res.end <= start {
+			continue
+		}
+		if res.start >= start.Add(service) {
+			return start, i
+		}
+		start = res.end
+	}
+	return start, len(rs)
+}
+
+// Randomized differential test: out-of-order arrivals (the pattern atomic
+// multi-leg transactions produce) must get the same start and completion
+// times, and leave the same reservation list, as the linear reference scan.
+func TestResourcePlaceMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		r := NewResource("diff", 0.5+rng.Float64()*4)
+		var ref []interval
+		base := Time(0)
+		for op := 0; op < 2000; op++ {
+			base += Time(rng.Intn(40))
+			now := base + Time(rng.Intn(600))
+			if rng.Intn(4) == 0 && base > 300 {
+				now = base - Time(rng.Intn(300))
+			}
+			bytes := 16 + rng.Intn(80)
+			service := r.serviceTime(bytes)
+
+			// Mirror Acquire's pruning on the reference before placing.
+			if now > r.maxNow && now > r.lastPrune.Add(pruneInterval) {
+				horizon := Time(0)
+				if now > pruneHorizon {
+					horizon = now - pruneHorizon
+				}
+				keep := ref[:0]
+				for _, res := range ref {
+					if res.end >= horizon {
+						keep = append(keep, res)
+					}
+				}
+				ref = keep
+			}
+			wantStart, idx := linearPlace(ref, now, service)
+			ref = append(ref, interval{})
+			copy(ref[idx+1:], ref[idx:])
+			ref[idx] = interval{start: wantStart, end: wantStart.Add(service)}
+
+			start, done := r.Acquire(now, bytes)
+			if start != wantStart || done != wantStart.Add(service) {
+				t.Fatalf("trial %d op %d: Acquire(%d, %d) = (%d, %d), linear scan gives (%d, %d)",
+					trial, op, now, bytes, start, done, wantStart, wantStart.Add(service))
+			}
+		}
+		if len(r.reservations) != len(ref) {
+			t.Fatalf("trial %d: %d reservations, reference has %d", trial, len(r.reservations), len(ref))
+		}
+		for i := range ref {
+			if r.reservations[i] != ref[i] {
+				t.Fatalf("trial %d: reservation %d = %+v, reference %+v", trial, i, r.reservations[i], ref[i])
+			}
+		}
 	}
 }

@@ -5,7 +5,8 @@
 // locality skew, inter-thread communication intensity — whose values are
 // chosen so that the simulated machine reproduces the *shape* of the paper's
 // per-workload results (remote-access fraction, DRAM-cache fit, sensitivity
-// to coherence design). DESIGN.md documents this substitution.
+// to coherence design). The built-in specs in registry.go record the values
+// chosen for each workload.
 //
 // Generated traces are deterministic for a given (spec, options) pair: every
 // thread derives its own seeded random stream, so generation is reproducible
