@@ -103,10 +103,12 @@ trace-roundtrip:
 	cmp /tmp/c3d-trace-gen.txt /tmp/c3d-trace-dec.txt
 	@echo "trace generate → encode → decode round trip bit-identical"
 
-# Short fuzz pass over the trace decoder: corrupt and truncated inputs must
-# produce errors, never panics or unbounded allocations.
+# Short fuzz passes: over the trace decoder (corrupt and truncated inputs
+# must produce errors, never panics or unbounded allocations) and over the
+# page-indexed table (random Slot/Get/Clear sequences must match a map).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzPageMap -fuzztime=5s ./internal/addr
 
 # Daemon gate through the real binary: build c3dd, start it, and drive it end
 # to end with the Go smoke driver — healthz, capabilities, error envelope,

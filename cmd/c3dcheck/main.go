@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 
+	"c3d/internal/profiling"
 	"c3d/pkg/c3d"
 )
 
@@ -40,6 +41,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print exploration progress to stderr")
 		version   = flag.Bool("version", false, "print the build version and exit")
 	)
+	prof := profiling.DefineFlags(flag.CommandLine)
 	flag.Parse()
 	if *version {
 		fmt.Println("c3dcheck", c3d.Version())
@@ -57,6 +59,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	stopProfiles, err := prof.Start()
+	exitOn(err)
+	// fail ends the profiles before exiting with status 1: a failed check
+	// is a finished run whose profile is still wanted.
+	fail := func() {
+		exitOn(stopProfiles())
+		os.Exit(1)
+	}
+	defer func() { exitOn(stopProfiles()) }()
 
 	if !*asJSON {
 		fmt.Println("verifying the C3D coherence protocol (SWMR, data-value, deadlock freedom)...")
@@ -75,7 +86,7 @@ func main() {
 	if *asJSON {
 		exitOn(c3d.WriteReportsJSON(os.Stdout, result.Reports))
 		if interrupted || !result.Passed() {
-			os.Exit(1)
+			fail()
 		}
 		return
 	}
@@ -88,11 +99,11 @@ func main() {
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "c3dcheck: interrupted")
-		os.Exit(1)
+		fail()
 	}
 	if !result.Passed() {
 		fmt.Fprintln(os.Stderr, "c3dcheck: FAILED")
-		os.Exit(1)
+		fail()
 	}
 	fmt.Println("all invariants hold in every reachable state")
 }

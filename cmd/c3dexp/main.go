@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"c3d/internal/profiling"
 	"c3d/pkg/c3d"
 	"c3d/pkg/c3d/api"
 )
@@ -61,6 +62,7 @@ func main() {
 		remote    = flag.String("remote", "", "campaign coordinator URL: run experiments on its worker fleet instead of locally")
 		version   = flag.Bool("version", false, "print the build version and exit")
 	)
+	prof := profiling.DefineFlags(flag.CommandLine)
 	flag.Parse()
 	if *version {
 		fmt.Println("c3dexp", c3d.Version())
@@ -122,6 +124,9 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	stopProfiles, err := prof.Start()
+	exitOn(err)
+	defer func() { exitOn(stopProfiles()) }()
 
 	if *remote != "" {
 		runRemote(ctx, *remote, params, *exp, *asJSON, *asCSV)

@@ -18,6 +18,7 @@ import (
 	"os/signal"
 	"time"
 
+	"c3d/internal/profiling"
 	"c3d/pkg/c3d"
 )
 
@@ -39,11 +40,15 @@ func main() {
 		asJSON       = flag.Bool("json", false, "emit the full result (counters, topology, per-core stats) as JSON instead of the text summary")
 		version      = flag.Bool("version", false, "print the build version and exit")
 	)
+	prof := profiling.DefineFlags(flag.CommandLine)
 	flag.Parse()
 	if *version {
 		fmt.Println("c3dsim", c3d.Version())
 		return
 	}
+	stopProfiles, err := prof.Start()
+	exitOn(err)
+	defer func() { exitOn(stopProfiles()) }()
 
 	params := c3d.Params{
 		Design:          *designName,

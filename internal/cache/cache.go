@@ -354,33 +354,30 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool, p Presence) Victim {
 	}
 	c.stats.Fills++
 	set := c.set(b)
-	// Already present: update in place.
+	// One scan finds the block (update in place), the first free way and the
+	// LRU valid way, as touch does.
+	invalidIdx, lruIdx := -1, 0
 	for i := range set {
-		if set[i].valid && set[i].Block == b {
-			set[i].State = st
-			set[i].Dirty = set[i].Dirty || dirty
-			set[i].Presence |= p
-			set[i].lastUse = c.bump()
-			return Victim{}
-		}
-	}
-	// Free way?
-	victimIdx := -1
-	for i := range set {
-		if !set[i].valid {
-			victimIdx = i
-			break
+		if set[i].valid {
+			if set[i].Block == b {
+				set[i].State = st
+				set[i].Dirty = set[i].Dirty || dirty
+				set[i].Presence |= p
+				set[i].lastUse = c.bump()
+				return Victim{}
+			}
+			if set[i].lastUse < set[lruIdx].lastUse {
+				lruIdx = i
+			}
+		} else if invalidIdx < 0 {
+			invalidIdx = i
 		}
 	}
 	var victim Victim
+	victimIdx := invalidIdx
 	if victimIdx < 0 {
 		// Evict LRU.
-		victimIdx = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victimIdx].lastUse {
-				victimIdx = i
-			}
-		}
+		victimIdx = lruIdx
 		victim = victimOf(set[victimIdx])
 		c.stats.Evictions++
 		if victim.Dirty {

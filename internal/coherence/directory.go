@@ -66,24 +66,22 @@ type Directory struct {
 	// Unbounded storage.
 	unbounded map[addr.Block]Entry
 
-	// Bounded (sparse) storage.
+	// Bounded (sparse) storage, as parallel per-way arrays of sets*ways
+	// entries, row-major by set. tags holds block+1 (0 = free way) and lru
+	// the way's last-use tick, so the tag match and the victim searches scan
+	// 8 bytes per way instead of whole entries.
 	sets    int
 	ways    int
 	setMask uint64
-	lines   []dirLine
+	tags    []addr.Block
+	lru     []uint64
+	entries []Entry
 	tick    uint64
 
 	// stale, when set, reports whether a tracked block is no longer cached
 	// anywhere, letting the replacement policy victimise stale entries
 	// before live ones (see SetStalePredicate).
 	stale func(addr.Block) bool
-}
-
-type dirLine struct {
-	block   addr.Block
-	entry   Entry
-	valid   bool
-	lastUse uint64
 }
 
 // Recall describes an entry evicted from a sparse directory. The protocol
@@ -115,7 +113,9 @@ func NewDirectory(cfg DirConfig) *Directory {
 	d.sets = sets
 	d.ways = cfg.Ways
 	d.setMask = uint64(sets - 1)
-	d.lines = make([]dirLine, sets*cfg.Ways)
+	d.tags = make([]addr.Block, sets*cfg.Ways)
+	d.lru = make([]uint64, sets*cfg.Ways)
+	d.entries = make([]Entry, sets*cfg.Ways)
 	return d
 }
 
@@ -150,7 +150,9 @@ func (d *Directory) Reset() {
 		clear(d.unbounded)
 		return
 	}
-	clear(d.lines)
+	clear(d.tags)
+	clear(d.lru)
+	clear(d.entries)
 	d.tick = 0
 }
 
@@ -167,14 +169,11 @@ func (d *Directory) Lookup(b addr.Block) (Entry, bool) {
 		}
 		return e, ok
 	}
-	set := d.set(b)
-	for i := range set {
-		if set[i].valid && set[i].block == b {
-			d.tick++
-			set[i].lastUse = d.tick
-			d.stats.Hits++
-			return set[i].entry, true
-		}
+	if i := d.find(b); i >= 0 {
+		d.tick++
+		d.lru[i] = d.tick
+		d.stats.Hits++
+		return d.entries[i], true
 	}
 	d.stats.Misses++
 	return Entry{}, false
@@ -186,11 +185,8 @@ func (d *Directory) Probe(b addr.Block) (Entry, bool) {
 		e, ok := d.unbounded[b]
 		return e, ok
 	}
-	set := d.set(b)
-	for i := range set {
-		if set[i].valid && set[i].block == b {
-			return set[i].entry, true
-		}
+	if i := d.find(b); i >= 0 {
+		return d.entries[i], true
 	}
 	return Entry{}, false
 }
@@ -212,73 +208,74 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		d.unbounded[b] = e
 		return Recall{}
 	}
-	set := d.set(b)
-	// Present: update in place.
-	for i := range set {
-		if set[i].valid && set[i].block == b {
+	// One scan finds b (update in place) or else the set's first free way.
+	base := d.setBase(b)
+	victim := -1
+	for i, tag := range d.tags[base : base+d.ways] {
+		switch tag {
+		case b + 1:
 			d.tick++
-			set[i].entry = e
-			set[i].lastUse = d.tick
+			d.entries[base+i] = e
+			d.lru[base+i] = d.tick
 			return Recall{}
+		case 0:
+			if victim < 0 {
+				victim = base + i
+			}
 		}
 	}
 	d.stats.Allocations++
-	// Free way?
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
 	var recall Recall
 	if victim < 0 {
 		// Prefer the least recently used *stale* entry (its block has left
 		// every cache, so no recall invalidation is needed); fall back to
 		// plain LRU when every entry is still live or no predicate is set.
-		victim = d.oldestStale(set)
+		victim = d.oldestStale(base)
 		if victim < 0 {
-			victim = oldestAfter(set, 0)
-			recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
+			victim = base + oldestAfter(d.lru[base:base+d.ways], 0)
+			recall = Recall{Block: d.tags[victim] - 1, Entry: d.entries[victim], Valid: true}
 			d.stats.Recalls++
 		}
 	}
 	d.tick++
-	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: d.tick}
+	d.tags[victim] = b + 1
+	d.entries[victim] = e
+	d.lru[victim] = d.tick
 	return recall
 }
 
-// oldestStale returns the index of the least recently used entry of a full
-// set whose block the stale predicate reports uncached, or -1 when none is
-// (or no predicate is set). It asks the predicate about ways in ascending
-// lastUse order and stops at the first stale one: lastUse values are unique
-// within a set, so this is the entry an exhaustive scan would pick, found
-// after one or two predicate calls instead of one per way. The predicate is
-// the expensive part (it probes every LLC), and the repeated selection costs
-// only integer compares, so the search makes no assumption about Ways.
-func (d *Directory) oldestStale(set []dirLine) int {
+// oldestStale returns the index of the least recently used entry of the full
+// set starting at base whose block the stale predicate reports uncached, or
+// -1 when none is (or no predicate is set). It asks the predicate about ways
+// in ascending lastUse order and stops at the first stale one: lastUse values
+// are unique within a set, so this is the entry an exhaustive scan would
+// pick, found after one or two predicate calls instead of one per way. The
+// predicate is the expensive part (it probes every LLC), and the repeated
+// selection costs only integer compares, so the search makes no assumption
+// about Ways.
+func (d *Directory) oldestStale(base int) int {
 	if d.stale == nil {
 		return -1
 	}
+	lru := d.lru[base : base+d.ways]
 	var after uint64
-	for range set {
-		i := oldestAfter(set, after)
-		if d.stale(set[i].block) {
-			return i
+	for range lru {
+		i := oldestAfter(lru, after)
+		if d.stale(d.tags[base+i] - 1) {
+			return base + i
 		}
-		after = set[i].lastUse
+		after = lru[i]
 	}
 	return -1
 }
 
-// oldestAfter returns the index of the entry with the smallest lastUse
-// greater than after, in a full set whose lastUse values are unique and
-// positive (after = 0 finds the LRU entry). The caller guarantees such an
-// entry exists.
-func oldestAfter(set []dirLine, after uint64) int {
+// oldestAfter returns the index of the smallest lastUse value greater than
+// after, in a full set's lru slice whose values are unique and positive
+// (after = 0 finds the LRU way). The caller guarantees such a way exists.
+func oldestAfter(lru []uint64, after uint64) int {
 	best := -1
-	for i := range set {
-		if u := set[i].lastUse; u > after && (best < 0 || u < set[best].lastUse) {
+	for i, u := range lru {
+		if u > after && (best < 0 || u < lru[best]) {
 			best = i
 		}
 	}
@@ -296,13 +293,12 @@ func (d *Directory) Remove(b addr.Block) bool {
 		}
 		return false
 	}
-	set := d.set(b)
-	for i := range set {
-		if set[i].valid && set[i].block == b {
-			set[i] = dirLine{}
-			d.stats.Removes++
-			return true
-		}
+	if i := d.find(b); i >= 0 {
+		d.tags[i] = 0
+		d.lru[i] = 0
+		d.entries[i] = Entry{}
+		d.stats.Removes++
+		return true
 	}
 	return false
 }
@@ -314,8 +310,8 @@ func (d *Directory) Entries() int {
 		return len(d.unbounded)
 	}
 	n := 0
-	for i := range d.lines {
-		if d.lines[i].valid {
+	for _, tag := range d.tags {
+		if tag != 0 {
 			n++
 		}
 	}
@@ -332,14 +328,27 @@ func (d *Directory) ForEach(fn func(addr.Block, Entry)) {
 		}
 		return
 	}
-	for i := range d.lines {
-		if d.lines[i].valid {
-			fn(d.lines[i].block, d.lines[i].entry)
+	for i, tag := range d.tags {
+		if tag != 0 {
+			fn(tag-1, d.entries[i])
 		}
 	}
 }
 
-func (d *Directory) set(b addr.Block) []dirLine {
+// find returns the index of b's way in a bounded directory's per-way
+// arrays, or -1 when b is not tracked.
+func (d *Directory) find(b addr.Block) int {
+	base := d.setBase(b)
+	for i, tag := range d.tags[base : base+d.ways] {
+		if tag == b+1 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// setBase returns the index of the first way of b's set.
+func (d *Directory) setBase(b addr.Block) int {
 	// XOR-fold the block number before masking. A home-sliced directory only
 	// ever sees blocks whose page-interleave bits match its socket, so using
 	// the raw low bits would leave most sets unused; folding higher bits in
@@ -347,6 +356,5 @@ func (d *Directory) set(b addr.Block) []dirLine {
 	h := uint64(b)
 	h ^= h >> 8
 	h ^= h >> 16
-	s := int(h & d.setMask)
-	return d.lines[s*d.ways : (s+1)*d.ways]
+	return int(h&d.setMask) * d.ways
 }

@@ -214,12 +214,24 @@ func TestDirectorySparseCapacityProperty(t *testing.T) {
 }
 
 // exhaustiveStaleVictim is the reference replacement choice: the least
-// recently used entry among every stale way, found by asking the predicate
-// about every way.
-func exhaustiveStaleVictim(set []dirLine, stale func(addr.Block) bool) int {
+// recently used entry among every stale way of a full set, found by asking
+// the predicate about every way.
+func exhaustiveStaleVictim(tags []addr.Block, lru []uint64, stale func(addr.Block) bool) int {
 	best := -1
-	for i := range set {
-		if stale(set[i].block) && (best < 0 || set[i].lastUse < set[best].lastUse) {
+	for i := range tags {
+		if stale(tags[i]-1) && (best < 0 || lru[i] < lru[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// exhaustiveLRUVictim is the reference fallback: the way with the smallest
+// lastUse, scanning every way.
+func exhaustiveLRUVictim(lru []uint64) int {
+	best := 0
+	for i := range lru {
+		if lru[i] < lru[best] {
 			best = i
 		}
 	}
@@ -250,13 +262,14 @@ func TestDirectoryOldestFirstStaleVictim(t *testing.T) {
 					stale[addr.Block(i)] = true
 				}
 			}
-			set := d.lines[:ways]
-			want := exhaustiveStaleVictim(set, func(b addr.Block) bool { return stale[b] })
+			tags, lru := d.tags[:ways], d.lru[:ways]
+			want := exhaustiveStaleVictim(tags, lru, func(b addr.Block) bool { return stale[b] })
 			wantRecall := want < 0
 			if want < 0 {
-				want = oldestAfter(set, 0)
+				want = exhaustiveLRUVictim(lru)
 			}
-			wantBlock := set[want].block
+			wantBlock := tags[want] - 1
+			wantWay := want
 
 			calls = 0
 			newBlock := addr.Block(ways + trial)
@@ -267,8 +280,8 @@ func TestDirectoryOldestFirstStaleVictim(t *testing.T) {
 			if _, ok := d.Probe(wantBlock); ok {
 				t.Fatalf("ways=%d trial=%d: block %d should have been replaced", ways, trial, wantBlock)
 			}
-			if _, ok := d.Probe(newBlock); !ok {
-				t.Fatalf("ways=%d trial=%d: new block not installed", ways, trial)
+			if _, ok := d.Probe(newBlock); !ok || d.tags[wantWay] != newBlock+1 {
+				t.Fatalf("ways=%d trial=%d: new block not installed in way %d", ways, trial, wantWay)
 			}
 			if wantRecall && calls != ways {
 				t.Errorf("ways=%d trial=%d: %d predicate calls with no stale way, want %d", ways, trial, calls, ways)
@@ -290,6 +303,139 @@ func TestDirectoryOldestFirstStaleVictim(t *testing.T) {
 		}
 		if _, ok := d.Probe(0); ok {
 			t.Errorf("ways=%d: stale LRU block 0 still present", ways)
+		}
+	}
+}
+
+// refLine and refDir are the array-of-structs sparse directory the
+// structure-of-arrays one replaced, kept as a reference: each set is a slice
+// of whole lines, and a full set asks the stale predicate about every way.
+type refLine struct {
+	block   addr.Block
+	entry   Entry
+	valid   bool
+	lastUse uint64
+}
+
+type refDir struct {
+	ways  int
+	lines []refLine
+	tick  uint64
+	stale func(addr.Block) bool
+	dir   *Directory // for set indexing only
+}
+
+func (r *refDir) set(b addr.Block) []refLine {
+	base := r.dir.setBase(b)
+	return r.lines[base : base+r.ways]
+}
+
+func (r *refDir) lookup(b addr.Block) (Entry, bool) {
+	set := r.set(b)
+	for i := range set {
+		if set[i].valid && set[i].block == b {
+			r.tick++
+			set[i].lastUse = r.tick
+			return set[i].entry, true
+		}
+	}
+	return Entry{}, false
+}
+
+func (r *refDir) update(b addr.Block, e Entry) Recall {
+	set := r.set(b)
+	for i := range set {
+		if set[i].valid && set[i].block == b {
+			r.tick++
+			set[i].entry, set[i].lastUse = e, r.tick
+			return Recall{}
+		}
+	}
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+	}
+	var recall Recall
+	if victim < 0 {
+		for i := range set {
+			if r.stale(set[i].block) && (victim < 0 || set[i].lastUse < set[victim].lastUse) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			victim = 0
+			for i := range set {
+				if set[i].lastUse < set[victim].lastUse {
+					victim = i
+				}
+			}
+			recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
+		}
+	}
+	r.tick++
+	set[victim] = refLine{block: b, entry: e, valid: true, lastUse: r.tick}
+	return recall
+}
+
+func (r *refDir) remove(b addr.Block) bool {
+	set := r.set(b)
+	for i := range set {
+		if set[i].valid && set[i].block == b {
+			set[i] = refLine{}
+			return true
+		}
+	}
+	return false
+}
+
+// Randomized differential test: lookups, updates (with stale-preferring
+// recalls), removals and probes on the structure-of-arrays directory return
+// exactly what the array-of-structs reference returns, way for way.
+func TestDirectoryMatchesArrayOfStructsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, geom := range []struct{ entries, ways int }{{8, 1}, {16, 4}, {64, 32}, {256, 32}, {200, 100}} {
+		d := newSparseDir(geom.entries, geom.ways)
+		stale := map[addr.Block]bool{}
+		pred := func(b addr.Block) bool { return stale[b] }
+		d.SetStalePredicate(pred)
+		ref := &refDir{ways: geom.ways, lines: make([]refLine, geom.entries), stale: pred, dir: d}
+		span := 4 * geom.entries
+		for op := 0; op < 20000; op++ {
+			b := addr.Block(rng.Intn(span))
+			if rng.Intn(4) == 0 {
+				b += addr.Block(1) << 50 // far-apart blocks share sets too
+			}
+			switch rng.Intn(6) {
+			case 0, 1:
+				e := Entry{State: DirShared, Sharers: SharerSet(rng.Intn(16) + 1)}
+				if got, want := d.Update(b, e), ref.update(b, e); got != want {
+					t.Fatalf("%+v op %d: Update(%d) = %+v, reference %+v", geom, op, b, got, want)
+				}
+			case 2, 3:
+				ge, gok := d.Lookup(b)
+				we, wok := ref.lookup(b)
+				if ge != we || gok != wok {
+					t.Fatalf("%+v op %d: Lookup(%d) = %+v,%v, reference %+v,%v", geom, op, b, ge, gok, we, wok)
+				}
+			case 4:
+				if got, want := d.Remove(b), ref.remove(b); got != want {
+					t.Fatalf("%+v op %d: Remove(%d) = %v, reference %v", geom, op, b, got, want)
+				}
+			case 5:
+				stale[b] = !stale[b]
+			}
+		}
+		for i, l := range ref.lines {
+			wantTag := addr.Block(0)
+			if l.valid {
+				wantTag = l.block + 1
+			}
+			if d.tags[i] != wantTag || (l.valid && (d.entries[i] != l.entry || d.lru[i] != l.lastUse)) {
+				t.Fatalf("%+v: way %d = tag %d entry %+v lru %d, reference %+v", geom, i, d.tags[i], d.entries[i], d.lru[i], l)
+			}
 		}
 	}
 }

@@ -198,14 +198,6 @@ func (cr *coreRunner) fill() bool {
 // that concurrent first touches spread across sockets the way they would in
 // a live run.
 func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
-	// Once a page is placed, every further Touch is a pure map read; a small
-	// direct-mapped memo of pages confirmed placed short-circuits it (a
-	// collision just repeats the harmless lookup). Init-section touches under
-	// FirstTouch2 do not place and are never memoised.
-	var placedMemo [4096]uint64
-	placed := func(p addr.Page) bool {
-		return placedMemo[uint64(p)&4095] == uint64(p)+1
-	}
 	rr := src.OpenInit()
 	steps := 0
 	for {
@@ -213,11 +205,7 @@ func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
 		if !ok {
 			break
 		}
-		if p := addr.PageOf(rec.Addr); !placed(p) {
-			if _, ok := m.pageTable.Touch(p, 0, false); ok {
-				placedMemo[uint64(p)&4095] = uint64(p) + 1
-			}
-		}
+		m.pageTable.Touch(addr.PageOf(rec.Addr), 0, false)
 		if steps++; steps&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -249,12 +237,7 @@ func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
 				active--
 				continue
 			}
-			if p := addr.PageOf(rec.Addr); !placed(p) {
-				socket := t / m.cfg.CoresPerSocket
-				if _, ok := m.pageTable.Touch(p, socket, true); ok {
-					placedMemo[uint64(p)&4095] = uint64(p) + 1
-				}
-			}
+			m.pageTable.Touch(addr.PageOf(rec.Addr), t/m.cfg.CoresPerSocket, true)
 		}
 	}
 	return nil

@@ -78,22 +78,6 @@ type ffCore struct {
 	lastBlock    addr.Block
 	lastBlockMod bool
 	hasLastB     bool
-	// privMemo caches IsPrivateTo verdicts for this core's writes. "Not
-	// private to me" is absorbing (a page never re-privatizes), so false
-	// verdicts live forever; "private to me" is guarded by the classifier's
-	// reclassification epoch, which advances on exactly the transitions that
-	// could revoke it. Direct-mapped on the page number.
-	privMemo [ffPrivMemoSize]privEntry
-}
-
-// ffPrivMemoSize is the direct-mapped privacy-memo size (a power of two).
-const ffPrivMemoSize = 256
-
-// privEntry is one privacy-memo slot; page holds page+1 so zero is empty.
-type privEntry struct {
-	page  uint64
-	epoch uint64
-	priv  bool
 }
 
 // touch is the functional-warming path used during fast-forward stretches: it
@@ -179,19 +163,8 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 	// §IV-D's insight applies to warming too: a page still private to this
 	// thread has never been touched by any other thread, so no cache on the
 	// machine can hold a copy of b and the whole invalidation sweep is
-	// provably a no-op. The verdict is memoised per core under the
-	// classifier's reclassification epoch (see privEntry), which invalidates
-	// a cached "private" the moment another thread's first touch ends it.
-	page := addr.PageOfBlock(b)
-	var priv bool
-	if e := &ff.privMemo[uint64(page)&(ffPrivMemoSize-1)]; e.page == uint64(page)+1 &&
-		(!e.priv || e.epoch == m.classifier.Epoch()) {
-		priv = e.priv
-	} else {
-		priv = m.classifier.IsPrivateTo(page, coreID)
-		*e = privEntry{page: uint64(page) + 1, epoch: m.classifier.Epoch(), priv: priv}
-	}
-	if !priv {
+	// provably a no-op.
+	if !m.classifier.IsPrivateTo(addr.PageOfBlock(b), coreID) {
 		for _, other := range m.sockets {
 			if other == ff.sock {
 				continue

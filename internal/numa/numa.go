@@ -48,8 +48,9 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts a policy name ("INT", "FT1", "FT2", case-sensitive as
-// printed by String) back into a Policy.
+// ParsePolicy converts a policy name back into a Policy. It accepts the
+// names String prints ("INT", "FT1", "FT2") and the lower-case aliases
+// "int", "interleave", "ft1" and "ft2"; any other spelling is an error.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "INT", "int", "interleave":
@@ -72,8 +73,11 @@ func Policies() []Policy { return []Policy{Interleave, FirstTouch1, FirstTouch2}
 type PageTable struct {
 	sockets int
 	policy  Policy
-	homes   map[addr.Page]int
-	stats   Stats
+	// homes holds home+1 per page, 0 for a page not placed yet. Home is
+	// resolved on almost every simulated access, so it is a page-indexed
+	// table rather than a hash map.
+	homes addr.PageMap[int32]
+	stats Stats
 }
 
 // Stats describes the placement decisions a page table has made.
@@ -97,7 +101,6 @@ func NewPageTable(sockets int, policy Policy) *PageTable {
 	return &PageTable{
 		sockets: sockets,
 		policy:  policy,
-		homes:   make(map[addr.Page]int),
 		stats:   Stats{PagesPerSocket: make([]uint64, sockets)},
 	}
 }
@@ -109,7 +112,7 @@ func (pt *PageTable) Sockets() int { return pt.sockets }
 // table to the just-constructed state (used when a machine is reused across
 // runs — page placement must be re-decided by the next trace).
 func (pt *PageTable) Reset() {
-	clear(pt.homes)
+	pt.homes.Clear()
 	clear(pt.stats.PagesPerSocket)
 	pt.stats.Placements = 0
 	pt.stats.FallbackInterleaved = 0
@@ -126,14 +129,22 @@ func (pt *PageTable) Stats() Stats {
 }
 
 // Pages returns the number of pages that have been placed.
-func (pt *PageTable) Pages() int { return len(pt.homes) }
+func (pt *PageTable) Pages() int { return int(pt.stats.Placements) }
 
 func (pt *PageTable) interleaveHome(p addr.Page) int {
 	return int(uint64(p) % uint64(pt.sockets))
 }
 
+// placed returns the home of page p, or -1 when p has no home yet.
+func (pt *PageTable) placed(p addr.Page) int {
+	if h := pt.homes.Get(p); h != nil {
+		return int(*h) - 1
+	}
+	return -1
+}
+
 func (pt *PageTable) place(p addr.Page, socket int) {
-	pt.homes[p] = socket
+	*pt.homes.Slot(p) = int32(socket) + 1
 	pt.stats.Placements++
 	pt.stats.PagesPerSocket[socket]++
 }
@@ -148,7 +159,7 @@ func (pt *PageTable) Touch(p addr.Page, socket int, parallel bool) (home int, ok
 	if socket < 0 || socket >= pt.sockets {
 		panic(fmt.Sprintf("numa: socket %d out of range [0,%d)", socket, pt.sockets))
 	}
-	if h, exists := pt.homes[p]; exists {
+	if h := pt.placed(p); h >= 0 {
 		return h, true
 	}
 	switch pt.policy {
@@ -176,7 +187,7 @@ func (pt *PageTable) Touch(p addr.Page, socket int, parallel bool) (home int, ok
 // initialisation) fall back to interleaving, and the fallback is recorded in
 // the statistics.
 func (pt *PageTable) Home(p addr.Page) int {
-	if h, ok := pt.homes[p]; ok {
+	if h := pt.placed(p); h >= 0 {
 		return h
 	}
 	h := pt.interleaveHome(p)

@@ -116,21 +116,21 @@ func (r *Resource) place(now Time, service Cycles) (Time, int) {
 	return start, len(r.reservations)
 }
 
+// prune forgets the reservations that ended before the horizon. Ends ascend
+// with starts (see place), so those reservations are always a prefix of the
+// list: pruning finds its length and slides the rest down.
 func (r *Resource) prune() {
-	if len(r.reservations) == 0 {
-		return
-	}
 	var horizon Time
 	if r.maxNow > pruneHorizon {
 		horizon = r.maxNow - pruneHorizon
 	}
-	keep := r.reservations[:0]
-	for _, res := range r.reservations {
-		if res.end >= horizon {
-			keep = append(keep, res)
-		}
+	n := 0
+	for n < len(r.reservations) && r.reservations[n].end < horizon {
+		n++
 	}
-	r.reservations = keep
+	if n > 0 {
+		r.reservations = r.reservations[:copy(r.reservations, r.reservations[n:])]
+	}
 }
 
 // Acquire reserves the resource for a transfer of size bytes starting no

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -309,9 +310,22 @@ func linearPlace(rs []interval, now Time, service Cycles) (Time, int) {
 	return start, len(rs)
 }
 
+// filterPrune is the reservation pruning as a filter over every entry, kept
+// here as the reference the prefix-dropping prune must match exactly.
+func filterPrune(rs []interval, horizon Time) []interval {
+	keep := rs[:0]
+	for _, res := range rs {
+		if res.end >= horizon {
+			keep = append(keep, res)
+		}
+	}
+	return keep
+}
+
 // Randomized differential test: out-of-order arrivals (the pattern atomic
 // multi-leg transactions produce) must get the same start and completion
-// times, and leave the same reservation list, as the linear reference scan.
+// times as the linear reference scan, and after every acquisition leave the
+// same reservation list as placing linearly and pruning by filter.
 func TestResourcePlaceMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -333,13 +347,7 @@ func TestResourcePlaceMatchesLinearScan(t *testing.T) {
 				if now > pruneHorizon {
 					horizon = now - pruneHorizon
 				}
-				keep := ref[:0]
-				for _, res := range ref {
-					if res.end >= horizon {
-						keep = append(keep, res)
-					}
-				}
-				ref = keep
+				ref = filterPrune(ref, horizon)
 			}
 			wantStart, idx := linearPlace(ref, now, service)
 			ref = append(ref, interval{})
@@ -351,13 +359,8 @@ func TestResourcePlaceMatchesLinearScan(t *testing.T) {
 				t.Fatalf("trial %d op %d: Acquire(%d, %d) = (%d, %d), linear scan gives (%d, %d)",
 					trial, op, now, bytes, start, done, wantStart, wantStart.Add(service))
 			}
-		}
-		if len(r.reservations) != len(ref) {
-			t.Fatalf("trial %d: %d reservations, reference has %d", trial, len(r.reservations), len(ref))
-		}
-		for i := range ref {
-			if r.reservations[i] != ref[i] {
-				t.Fatalf("trial %d: reservation %d = %+v, reference %+v", trial, i, r.reservations[i], ref[i])
+			if !slices.Equal(r.reservations, ref) {
+				t.Fatalf("trial %d op %d: reservations %v, filter-pruned reference %v", trial, op, r.reservations, ref)
 			}
 		}
 	}

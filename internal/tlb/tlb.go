@@ -22,6 +22,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"c3d/internal/addr"
 )
@@ -66,32 +67,25 @@ type ClassifierStats struct {
 }
 
 type pageClass struct {
+	// known marks a classified page; the zero value is an unclassified one.
+	known bool
 	class Class
 	// ownerThread is the thread id that first touched the page.
-	ownerThread int
+	ownerThread int32
 	// ownerCore is the core the owner thread was last seen on.
-	ownerCore int
+	ownerCore int32
 }
 
 // Classifier is the OS-level page classification table (the page-table
-// extension of §IV-D). Entries are stored by value: the table is touched for
-// every simulated access, and pointer entries would cost one allocation per
-// classified page on every (re)run of a machine.
+// extension of §IV-D). The table is consulted on every simulated access, so
+// it is a page-indexed table of values rather than a hash map.
 type Classifier struct {
-	pages map[addr.Page]pageClass
+	pages addr.PageMap[pageClass]
 	stats ClassifierStats
-	// epoch increments on every private→shared reclassification. Because
-	// pages never re-privatize, a cached "private to thread T" verdict is
-	// still valid exactly while the epoch is unchanged (and a cached "not
-	// private to T" verdict is valid forever), which lets hot callers memoise
-	// IsPrivateTo without a map lookup.
-	epoch uint64
 }
 
 // NewClassifier builds an empty classifier.
-func NewClassifier() *Classifier {
-	return &Classifier{pages: make(map[addr.Page]pageClass)}
-}
+func NewClassifier() *Classifier { return &Classifier{} }
 
 // Stats returns a snapshot of the counters.
 func (c *Classifier) Stats() ClassifierStats { return c.stats }
@@ -109,13 +103,9 @@ func (c *Classifier) ResetStats() {
 // the classifier to the just-constructed state (used when a machine is reused
 // across runs).
 func (c *Classifier) Reset() {
-	clear(c.pages)
+	c.pages.Clear()
 	c.stats = ClassifierStats{}
-	c.epoch = 0
 }
-
-// Epoch returns the reclassification epoch; see the field comment.
-func (c *Classifier) Epoch() uint64 { return c.epoch }
 
 // AccessResult describes what happened on a classification query.
 type AccessResult struct {
@@ -135,9 +125,9 @@ type AccessResult struct {
 // TLB-miss handler behaviour described in §IV-D.
 func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	c.stats.Accesses++
-	e, ok := c.pages[p]
-	if !ok {
-		c.pages[p] = pageClass{class: ClassPrivate, ownerThread: thread, ownerCore: core}
+	e := c.pages.Slot(p)
+	if !e.known {
+		*e = pageClass{known: true, class: ClassPrivate, ownerThread: int32(thread), ownerCore: int32(core)}
 		c.stats.PrivatePages++
 		return AccessResult{Class: ClassPrivate, FirstTouch: true}
 	}
@@ -145,12 +135,11 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 		return AccessResult{Class: ClassShared}
 	}
 	// Private page.
-	if e.ownerThread == thread {
-		if e.ownerCore != core {
+	if int(e.ownerThread) == thread {
+		if int(e.ownerCore) != core {
 			// Thread migration: keep the page private, move ownership to the
 			// new core and shoot the page down from the hierarchy.
-			e.ownerCore = core
-			c.pages[p] = e
+			e.ownerCore = int32(core)
 			c.stats.MigrationShootdowns++
 			return AccessResult{Class: ClassPrivate, Shootdown: true}
 		}
@@ -160,8 +149,6 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	// so its pending writes to the page are flushed, but the page is not shot
 	// down.
 	e.class = ClassShared
-	c.pages[p] = e
-	c.epoch++
 	c.stats.PrivatePages--
 	c.stats.SharedPages++
 	c.stats.Reclassifications++
@@ -173,7 +160,7 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 // access. Unclassified pages report ClassShared (the conservative answer: a
 // broadcast will be sent even though it may not be needed).
 func (c *Classifier) Classify(p addr.Page) Class {
-	if e, ok := c.pages[p]; ok {
+	if e := c.pages.Get(p); e != nil && e.known {
 		return e.class
 	}
 	return ClassShared
@@ -183,12 +170,12 @@ func (c *Classifier) Classify(p addr.Page) Class {
 // owned by the given thread. This is the exact predicate the C3D directory
 // uses to elide a broadcast on a GetX carrying the private bit.
 func (c *Classifier) IsPrivateTo(p addr.Page, thread int) bool {
-	e, ok := c.pages[p]
-	return ok && e.class == ClassPrivate && e.ownerThread == thread
+	e := c.pages.Get(p)
+	return e != nil && e.known && e.class == ClassPrivate && int(e.ownerThread) == thread
 }
 
 // Pages returns the number of classified pages.
-func (c *Classifier) Pages() int { return len(c.pages) }
+func (c *Classifier) Pages() int { return int(c.stats.PrivatePages + c.stats.SharedPages) }
 
 // TLBStats counts per-core TLB activity.
 type TLBStats struct {
@@ -211,14 +198,22 @@ func (s TLBStats) MissRate() float64 {
 // here they are counted for reporting while classification correctness is
 // delegated to the shared Classifier.
 //
-// The implementation keeps an intrusive doubly-linked LRU list indexed by a
-// map, so lookups and replacements are O(1) — the TLB sits on the simulator's
-// per-access hot path.
+// The implementation keeps an intrusive doubly-linked LRU list indexed by an
+// open-addressed hash table, so lookups and replacements are O(1) and
+// allocation-free — the TLB sits on the simulator's per-access hot path.
 type TLB struct {
 	capacity int
-	entries  map[addr.Page]*tlbNode
-	head     *tlbNode // most recently used
-	tail     *tlbNode // least recently used
+	// keys and nodes form the index: a power-of-two linear-probing table of
+	// at least twice the capacity (and 4) slots, holding page+1 (0 = empty slot; pages are
+	// addresses shifted right by PageShift, so page+1 never wraps) and the
+	// page's list node. Deletion shifts later entries of the probe run back,
+	// so no tombstones accumulate.
+	keys  []uint64
+	nodes []*tlbNode
+	shift uint // 64 - log2(len(keys))
+	size  int
+	head  *tlbNode // most recently used
+	tail  *tlbNode // least recently used
 	// slab preallocates every node the TLB can ever hold; free chains nodes
 	// returned by Invalidate. Steady-state misses therefore allocate nothing:
 	// a full TLB recycles the evicted LRU node in place.
@@ -258,9 +253,17 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		capacity = 64
 	}
+	// At least twice the capacity, and never full: Access briefly holds
+	// capacity+1 keys.
+	slots := 4
+	for slots < 2*capacity {
+		slots *= 2
+	}
 	return &TLB{
 		capacity: capacity,
-		entries:  make(map[addr.Page]*tlbNode, capacity),
+		keys:     make([]uint64, slots),
+		nodes:    make([]*tlbNode, slots),
+		shift:    uint(64 - bits.TrailingZeros(uint(slots))),
 		slab:     make([]tlbNode, capacity),
 	}
 }
@@ -278,10 +281,11 @@ func (t *TLB) ResetStats() { t.stats = TLBStats{} }
 // TLB to the just-constructed state. The slab is zeroed so recycled nodes
 // carry no stale list links.
 func (t *TLB) Reset() {
-	clear(t.entries)
+	clear(t.keys)
+	clear(t.nodes)
 	clear(t.slab)
 	t.head, t.tail, t.free = nil, nil, nil
-	t.used = 0
+	t.size, t.used = 0, 0
 	t.stats = TLBStats{}
 }
 
@@ -310,10 +314,46 @@ func (t *TLB) pushFront(n *tlbNode) {
 	}
 }
 
+// home returns the index slot of key k (Fibonacci hashing).
+func (t *TLB) home(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> t.shift) }
+
+// find returns the slot holding page p, or the empty slot ending p's probe
+// run and false.
+func (t *TLB) find(p addr.Page) (int, bool) {
+	k := uint64(p) + 1
+	mask := len(t.keys) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case k:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// remove empties slot i and shifts every later entry of its probe run that
+// may move back, so each remaining key stays reachable from its home slot.
+func (t *TLB) remove(i int) {
+	mask := len(t.keys) - 1
+	for j := (i + 1) & mask; t.keys[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if i lies on its probe
+		// path, i.e. no further from j than its home slot is.
+		if (j-t.home(t.keys[j]))&mask >= (j-i)&mask {
+			t.keys[i], t.nodes[i] = t.keys[j], t.nodes[j]
+			i = j
+		}
+	}
+	t.keys[i], t.nodes[i] = 0, nil
+	t.size--
+}
+
 // Access looks up page p, returning true on a hit. On a miss the page is
 // installed, evicting the least recently used entry if the TLB is full.
 func (t *TLB) Access(p addr.Page) bool {
-	if n, ok := t.entries[p]; ok {
+	i, ok := t.find(p)
+	if ok {
+		n := t.nodes[i]
 		t.stats.Hits++
 		if t.head != n {
 			t.unlink(n)
@@ -322,31 +362,42 @@ func (t *TLB) Access(p addr.Page) bool {
 		return true
 	}
 	t.stats.Misses++
-	var n *tlbNode
-	if len(t.entries) >= t.capacity {
-		// Recycle the evicted LRU node instead of allocating.
-		n = t.tail
-		t.unlink(n)
-		delete(t.entries, n.page)
-	} else {
-		n = t.allocNode()
+	if t.size < t.capacity {
+		t.insert(i, p, t.allocNode())
+		return false
 	}
-	n.page = p
-	t.entries[p] = n
-	t.pushFront(n)
+	// Recycle the evicted LRU node instead of allocating. The index has room
+	// for one key beyond capacity, so p goes in first; removing the victim's
+	// key afterwards shifts p like any other key of the probe run.
+	n := t.tail
+	t.unlink(n)
+	j, _ := t.find(n.page)
+	t.insert(i, p, n)
+	t.remove(j)
 	return false
+}
+
+// insert stores page p with node n in the empty index slot i and makes n the
+// most recently used entry.
+func (t *TLB) insert(i int, p addr.Page, n *tlbNode) {
+	n.page = p
+	t.keys[i], t.nodes[i] = uint64(p)+1, n
+	t.size++
+	t.pushFront(n)
 }
 
 // Invalidate removes page p (a shootdown) and reports whether it was present.
 func (t *TLB) Invalidate(p addr.Page) bool {
-	if n, ok := t.entries[p]; ok {
-		t.unlink(n)
-		delete(t.entries, p)
-		t.freeNode(n)
-		return true
+	i, ok := t.find(p)
+	if !ok {
+		return false
 	}
-	return false
+	n := t.nodes[i]
+	t.unlink(n)
+	t.remove(i)
+	t.freeNode(n)
+	return true
 }
 
 // Size returns the number of resident translations.
-func (t *TLB) Size() int { return len(t.entries) }
+func (t *TLB) Size() int { return t.size }

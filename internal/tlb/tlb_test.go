@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +202,91 @@ func TestTLBCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refTLB is the map-plus-list LRU the open-addressed index replaced, kept as
+// the reference for the differential test below.
+type refTLB struct {
+	capacity int
+	lru      *list.List // front = most recently used
+	pages    map[addr.Page]*list.Element
+}
+
+func newRefTLB(capacity int) *refTLB {
+	return &refTLB{capacity: capacity, lru: list.New(), pages: map[addr.Page]*list.Element{}}
+}
+
+func (r *refTLB) access(p addr.Page) bool {
+	if e, ok := r.pages[p]; ok {
+		r.lru.MoveToFront(e)
+		return true
+	}
+	if r.lru.Len() >= r.capacity {
+		delete(r.pages, r.lru.Remove(r.lru.Back()).(addr.Page))
+	}
+	r.pages[p] = r.lru.PushFront(p)
+	return false
+}
+
+func (r *refTLB) invalidate(p addr.Page) bool {
+	e, ok := r.pages[p]
+	if ok {
+		r.lru.Remove(e)
+		delete(r.pages, p)
+	}
+	return ok
+}
+
+// Randomized differential test: the TLB and the map-plus-list reference give
+// the same hit/miss sequence, Invalidate answers and Size under a mix of hot
+// pages, streaming misses, far-apart pages and shootdowns, across Reset.
+func TestTLBMatchesMapListReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, capacity := range []int{1, 64, 100} {
+		tl := NewTLB(capacity)
+		for round := 0; round < 3; round++ {
+			ref := newRefTLB(capacity)
+			var hits, misses uint64
+			for op := 0; op < 30000; op++ {
+				var p addr.Page
+				switch rng.Intn(4) {
+				case 0: // a hot set a little larger than the TLB
+					p = addr.Page(rng.Intn(capacity + capacity/4 + 2))
+				case 1: // streaming
+					p = addr.Page(op)
+				case 2: // far-apart pages that collide in the low bits
+					p = addr.Page(rng.Intn(8))<<40 | addr.Page(rng.Intn(4))<<20
+				default:
+					p = addr.Page(rng.Intn(4 * capacity))
+				}
+				if rng.Intn(10) == 0 {
+					if got, want := tl.Invalidate(p), ref.invalidate(p); got != want {
+						t.Fatalf("cap %d round %d op %d: Invalidate(%d) = %v, reference %v", capacity, round, op, p, got, want)
+					}
+				} else {
+					got, want := tl.Access(p), ref.access(p)
+					if got != want {
+						t.Fatalf("cap %d round %d op %d: Access(%d) = %v, reference %v", capacity, round, op, p, got, want)
+					}
+					if got {
+						hits++
+					} else {
+						misses++
+					}
+				}
+				if tl.Size() != ref.lru.Len() {
+					t.Fatalf("cap %d round %d op %d: Size = %d, reference %d", capacity, round, op, tl.Size(), ref.lru.Len())
+				}
+			}
+			if s := tl.Stats(); s.Hits != hits || s.Misses != misses {
+				t.Fatalf("cap %d round %d: stats %+v, want %d hits %d misses", capacity, round, s, hits, misses)
+			}
+			tl.Reset()
+			if tl.Size() != 0 || tl.Stats() != (TLBStats{}) {
+				t.Fatalf("cap %d: Reset left size %d stats %+v", capacity, tl.Size(), tl.Stats())
+			}
+		}
 	}
 }
 
