@@ -1,13 +1,15 @@
-// Command c3dd is the C3D job-service daemon: an HTTP/JSON front end over
-// pkg/c3d that accepts simulation, experiment and verification jobs, bounds
-// their concurrency, streams progress, and serves results that are
+// Command c3dd is the C3D job-service daemon, an HTTP/JSON front end over
+// the job engine in internal/campaign. By default it is a worker: it runs
+// simulation, experiment and verification jobs in-process through pkg/c3d,
+// bounds their concurrency, streams progress, and serves results that are
 // byte-identical to the CLIs' output for the same parameters.
 //
-// With -coordinator it becomes a campaign coordinator instead: a front door
-// that shards campaigns (ordered lists of job specs) across a fleet of
-// worker c3dd daemons, routes jobs through a pluggable policy, reassigns
-// jobs whose worker died, serves repeats from a content-addressed result
-// cache, and assembles results in submission order.
+// With -coordinator the same engine dispatches to a fleet instead: a front
+// door that shards campaigns (ordered lists of job specs) across worker
+// c3dd daemons, routes jobs through a pluggable policy, reassigns jobs whose
+// worker died, serves repeats from a content-addressed result cache, and
+// assembles results in submission order. A flag the selected mode does not
+// use is an error (exit 2), never silently ignored.
 //
 // Usage:
 //
@@ -62,7 +64,6 @@ import (
 
 	"c3d/internal/campaign"
 	"c3d/internal/faultify"
-	"c3d/internal/server"
 	"c3d/pkg/c3d"
 	"c3d/pkg/c3d/api"
 )
@@ -70,9 +71,9 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		jobs    = flag.Int("jobs", 1, "jobs running concurrently (each job parallelises internally; see params.parallel)")
-		queue   = flag.Int("queue", 256, "queued-job bound; submissions beyond it get 503")
-		retain  = flag.Int("retain", 1024, "finished jobs kept for result fetches before eviction")
+		jobs    = flag.Int("jobs", 1, "jobs running concurrently; each job parallelises internally, see params.parallel (worker mode)")
+		queue   = flag.Int("queue", 256, "queued-job bound; submissions beyond it get 503 (worker mode)")
+		retain  = flag.Int("retain", 1024, "finished jobs kept for result fetches before eviction (worker mode)")
 		version = flag.Bool("version", false, "print the build version and exit")
 
 		chaos = flag.String("chaos", "", fmt.Sprintf("inject deterministic faults from a seeded plan, as <plan>[:<seed>]: %s (testing only)",
@@ -99,6 +100,22 @@ func main() {
 		fmt.Println("c3dd", c3d.Version())
 		return
 	}
+	// A flag the selected mode does not use is rejected, not ignored; the
+	// usage text of every such flag names the mode it belongs to.
+	otherMode, where := "(worker mode)", "with -coordinator"
+	if !*coordinator {
+		otherMode, where = "(coordinator mode", "without -coordinator"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if strings.Contains(f.Usage, otherMode) {
+			fmt.Fprintf(os.Stderr, "c3dd: -%s has no effect %s\n", f.Name, where)
+			os.Exit(2)
+		}
+	})
+	if *coordinator && *workers == "" {
+		fmt.Fprintln(os.Stderr, "c3dd: -coordinator requires -workers url[,url...]")
+		os.Exit(2)
+	}
 
 	var injector *faultify.Injector
 	if *chaos != "" {
@@ -118,58 +135,49 @@ func main() {
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGTERM)
 
-	var handler http.Handler
-	var closeCore func()
-	var drainCore func(context.Context) error
+	// One construction path: the flags of the other mode are at their
+	// defaults here, and the engine ignores them.
+	cfg := campaign.Config{
+		MaxConcurrent:   *jobs,
+		QueueDepth:      *queue,
+		MaxJobs:         *retain,
+		Policy:          *policy,
+		RatePerSec:      *rate,
+		Burst:           *burst,
+		CacheEntries:    *cache,
+		MaxAttempts:     *attempts,
+		Cooldown:        *cooldown,
+		DispatchTimeout: *dispatchTimeout,
+		HedgeAfter:      *hedgeAfter,
+		ProbeTimeout:    *probeTimeout,
+		CancelGrace:     *cancelGrace,
+		JournalDir:      *journalDir,
+		Logf:            log.New(os.Stderr, "c3dd: ", log.LstdFlags).Printf,
+	}
 	if *coordinator {
-		if *workers == "" {
-			fmt.Fprintln(os.Stderr, "c3dd: -coordinator requires -workers url[,url...]")
-			os.Exit(2)
-		}
-		var clientOpts []api.ClientOption
+		cfg.Workers = strings.Split(*workers, ",")
+		cfg.MaxConcurrent = 0 // the engine's fleet default: 2 per worker
 		if injector != nil {
 			// Coordinator chaos is client-side: every dispatch to the fleet
 			// runs through the fault-injecting transport.
-			clientOpts = append(clientOpts, api.WithHTTPClient(&http.Client{Transport: injector.Transport(nil)}))
+			cfg.ClientOptions = append(cfg.ClientOptions, api.WithHTTPClient(&http.Client{Transport: injector.Transport(nil)}))
 		}
-		co, err := campaign.New(ctx, campaign.Config{
-			Workers:         strings.Split(*workers, ","),
-			Policy:          *policy,
-			RatePerSec:      *rate,
-			Burst:           *burst,
-			CacheEntries:    *cache,
-			MaxAttempts:     *attempts,
-			Cooldown:        *cooldown,
-			DispatchTimeout: *dispatchTimeout,
-			HedgeAfter:      *hedgeAfter,
-			ProbeTimeout:    *probeTimeout,
-			CancelGrace:     *cancelGrace,
-			JournalDir:      *journalDir,
-			ClientOptions:   clientOpts,
-			Logf:            log.New(os.Stderr, "c3dd: ", log.LstdFlags).Printf,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "c3dd:", err)
-			os.Exit(1)
-		}
-		handler, closeCore, drainCore = co.Handler(), co.Close, co.Drain
-		fmt.Fprintf(os.Stderr, "c3dd %s coordinating %d workers on %s (policy %s)\n",
-			c3d.Version(), len(strings.Split(*workers, ",")), *addr, *policy)
-	} else {
-		srv := server.New(server.Config{
-			MaxConcurrent: *jobs,
-			QueueDepth:    *queue,
-			MaxJobs:       *retain,
-		})
-		handler, closeCore, drainCore = srv.Handler(), srv.Close, srv.Drain
-		if injector != nil {
-			// Worker chaos is server-side: requests fault before reaching the
-			// scheduler (except /v1/capabilities, which faultify exempts so
-			// coordinators can always handshake).
-			handler = injector.Middleware(handler)
-		}
-		fmt.Fprintf(os.Stderr, "c3dd %s listening on %s (max %d concurrent jobs)\n", c3d.Version(), *addr, *jobs)
 	}
+	engine, err := campaign.New(ctx, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3dd:", err)
+		os.Exit(1)
+	}
+	handler, role := engine.Handler(), fmt.Sprintf("max %d concurrent jobs", *jobs)
+	if *coordinator {
+		role = fmt.Sprintf("coordinating %d workers, policy %s", len(cfg.Workers), *policy)
+	} else if injector != nil {
+		// Worker chaos is server-side: requests fault before reaching the
+		// scheduler (except /v1/capabilities, which faultify exempts so
+		// coordinators can always handshake).
+		handler = injector.Middleware(handler)
+	}
+	fmt.Fprintf(os.Stderr, "c3dd %s listening on %s (%s)\n", c3d.Version(), *addr, role)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
@@ -180,7 +188,7 @@ func main() {
 			// instead of connection refusals.
 			fmt.Fprintf(os.Stderr, "c3dd: SIGTERM: draining (up to %s)\n", *drainTimeout)
 			drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-			if err := drainCore(drainCtx); err != nil {
+			if err := engine.Drain(drainCtx); err != nil {
 				fmt.Fprintln(os.Stderr, "c3dd: drain incomplete:", err)
 			}
 			cancel()
@@ -191,8 +199,8 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	err := httpSrv.ListenAndServe()
-	closeCore()
+	err = httpSrv.ListenAndServe()
+	engine.Close()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "c3dd:", err)
 		os.Exit(1)

@@ -105,7 +105,7 @@ func main() {
 	}
 }
 
-// importPath turns a package argument (./internal/server, internal/server,
+// importPath turns a package argument (./internal/campaign, internal/campaign,
 // or a full import path) into the module-rooted import path.
 func importPath(l *analysis.Loader, arg string) string {
 	if arg == "." {

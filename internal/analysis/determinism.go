@@ -8,7 +8,7 @@ import (
 // determinismScope lists the result-producing packages: everything whose
 // output feeds the byte-compared artefacts (simulation results, sweep JSON,
 // model-check reports, trace statistics, SDK result documents). Service
-// plumbing (internal/server, internal/campaign, internal/faultify) is
+// plumbing (internal/campaign, internal/faultify) is
 // deliberately out of scope — wall-clock time and scheduling nondeterminism
 // are part of its job, and its determinism obligations (result bytes) are
 // enforced where the bytes are produced.

@@ -6,9 +6,8 @@ import (
 )
 
 // envelopeScope lists the packages that implement HTTP handlers for the
-// public API: the worker daemon and the campaign coordinator.
+// public API: the job engine behind both daemon modes.
 var envelopeScope = map[string]bool{
-	"c3d/internal/server":   true,
 	"c3d/internal/campaign": true,
 }
 
@@ -27,8 +26,8 @@ var ErrEnvelopeAnalyzer = &Analyzer{
 
 Clients branch on the machine-readable code in {"error":{"code","message"}};
 a raw http.Error or a hand-rolled WriteHeader(4xx/5xx)+body hands them an
-unparseable response. In internal/server and internal/campaign, handlers may
-not call http.Error at all, and may only pass a constant status >= 400 to
+unparseable response. In internal/campaign, handlers may not call
+http.Error at all, and may only pass a constant status >= 400 to
 WriteHeader inside the envelope helpers themselves (writeJSON/writeError).
 The one legitimate exception — a failed job whose body is a result document,
 not an error — is annotated //c3dlint:allow errenvelope(reason).`,

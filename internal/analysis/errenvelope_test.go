@@ -3,9 +3,9 @@ package analysis
 import "testing"
 
 func TestErrEnvelopeFixture(t *testing.T) {
-	runFixture(t, ErrEnvelopeAnalyzer, "errenvelope/server", "c3d/internal/server")
+	runFixture(t, ErrEnvelopeAnalyzer, "errenvelope/campaign", "c3d/internal/campaign")
 }
 
 func TestErrEnvelopeNegativeFixtureFails(t *testing.T) {
-	requireFindings(t, ErrEnvelopeAnalyzer, "errenvelope/server", "c3d/internal/server", 2)
+	requireFindings(t, ErrEnvelopeAnalyzer, "errenvelope/campaign", "c3d/internal/campaign", 2)
 }

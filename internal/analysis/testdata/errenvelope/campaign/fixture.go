@@ -1,6 +1,6 @@
-// Package server is an errenvelope fixture, loaded as c3d/internal/server:
+// Package campaign is an errenvelope fixture, loaded as c3d/internal/campaign:
 // API errors may only leave through the envelope helpers.
-package server
+package campaign
 
 import (
 	"encoding/json"

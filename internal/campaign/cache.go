@@ -66,12 +66,6 @@ type cacheEntry struct {
 }
 
 func newResultCache(maxEntries int, dir string, logf func(string, ...any)) *resultCache {
-	if maxEntries <= 0 {
-		maxEntries = 1024
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	return &resultCache{
 		max:   maxEntries,
 		dir:   dir,
@@ -168,17 +162,14 @@ func writeFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}

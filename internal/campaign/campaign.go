@@ -1,8 +1,21 @@
-// Package campaign is the distributed-campaign coordinator behind
-// `c3dd -coordinator`: it shards an ordered list of job specs across a fleet
-// of worker daemons over the public job API (pkg/c3d/api), routes each job
-// through a pluggable policy, retries jobs whose worker died mid-flight, and
-// assembles the per-job result documents in submission order.
+// Package campaign is the job engine behind cmd/c3dd. One engine serves
+// both roles of the daemon; they differ only in the executor that runs a
+// job's spec:
+//
+//   - A worker node (Config.Workers empty) runs every job in-process through
+//     pkg/c3d and serves the /v1/jobs API: it accepts simulation,
+//     experiment-campaign and verification jobs, schedules them on a bounded
+//     set of run slots, streams structured progress as JSON lines, and serves result
+//     bytes identical to `c3dexp -json` output for the same parameters.
+//   - A coordinator (Config.Workers set) serves the /v1/campaigns API: it
+//     shards an ordered list of job specs across a fleet of worker daemons
+//     over the public job API (pkg/c3d/api), routes each job through a
+//     pluggable policy, retries jobs whose worker died mid-flight, and
+//     assembles the per-job result documents in submission order.
+//
+// Everything above the executor exists once: the job lifecycle, the
+// bounded-retention table, FIFO admission under MaxConcurrent, Close and
+// Drain, and the HTTP helpers, /healthz and /v1/capabilities.
 //
 // Two properties make distribution invisible in the output. First, every job
 // is deterministic — the same spec produces the same result bytes on any
@@ -21,23 +34,38 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"reflect"
 	"sync"
 	"time"
 
+	"c3d/pkg/c3d"
 	"c3d/pkg/c3d/api"
 )
 
-// Config parameterises a Coordinator.
+// Config parameterises a Coordinator. Workers selects the mode; the
+// remaining fields apply to the mode their comment names.
 type Config struct {
-	// Workers lists the base URLs of the worker daemons (required).
+	// Workers lists the base URLs of the worker daemons. Empty makes a
+	// worker node that runs jobs in-process; set, a coordinator over them.
 	Workers []string
-	// Policy names the routing policy (default DefaultPolicy).
+	// MaxConcurrent bounds jobs running at once: run in-process on a worker
+	// node (default 1: simulations are internally parallel already, so one
+	// job usually saturates the host; raise it to overlap small jobs), or
+	// dispatched to the fleet across all campaigns (default 2x worker count).
+	MaxConcurrent int
+	// QueueDepth bounds jobs waiting to run on a worker node (default 256).
+	// Submissions beyond it are rejected with 503 instead of queueing
+	// unboundedly.
+	QueueDepth int
+	// MaxJobs bounds retained finished jobs on a worker node (default 1024):
+	// the oldest finished jobs are evicted first, so a long-lived daemon's
+	// job table does not grow without bound.
+	MaxJobs int
+	// Policy names the coordinator's routing policy (default DefaultPolicy).
 	Policy string
 	// RatePerSec and Burst shape the admission token bucket: a campaign
 	// submission takes one token per job (defaults 50/s, burst 200).
@@ -50,9 +78,6 @@ type Config struct {
 	// unreachable, job cancelled underneath us) consume retries; a job the
 	// worker reports as failed is deterministic and fails immediately.
 	MaxAttempts int
-	// MaxConcurrent bounds jobs dispatched to the fleet at once, across all
-	// campaigns (default 2x worker count).
-	MaxConcurrent int
 	// MaxCampaigns bounds retained finished campaigns (default 256).
 	MaxCampaigns int
 	// Cooldown is how long a worker sits out after a transient failure
@@ -82,40 +107,24 @@ type Config struct {
 	JournalDir string
 	// ClientOptions is applied to every per-worker api.Client.
 	ClientOptions []api.ClientOption
-	// Logf receives coordinator decisions (nil = silent).
+	// Logf receives engine decisions (nil = silent).
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
+	orDefault(&c.MaxConcurrent, max(1, 2*len(c.Workers)))
+	orDefault(&c.QueueDepth, 256)
+	orDefault(&c.MaxJobs, 1024)
+	orDefault(&c.RatePerSec, 50)
+	orDefault(&c.Burst, 200)
+	orDefault(&c.CacheEntries, 1024)
+	orDefault(&c.MaxAttempts, 3)
+	orDefault(&c.MaxCampaigns, 256)
+	orDefault(&c.Cooldown, 2*time.Second)
+	orDefault(&c.ProbeTimeout, 2*time.Second)
+	orDefault(&c.CancelGrace, 2*time.Second)
 	if c.Policy == "" {
 		c.Policy = DefaultPolicy
-	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = 50
-	}
-	if c.Burst <= 0 {
-		c.Burst = 200
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 1024
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 2 * len(c.Workers)
-	}
-	if c.MaxCampaigns <= 0 {
-		c.MaxCampaigns = 256
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.CancelGrace <= 0 {
-		c.CancelGrace = 2 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -123,95 +132,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// worker is the coordinator's handle on one daemon: its client plus health
-// and load bookkeeping. healthy-ness is edge-triggered by dispatch outcomes —
-// a transient failure starts a cooldown during which the worker is not
-// routable; the next dispatch after cooldown re-probes it implicitly.
-type worker struct {
-	index  int
-	url    string
-	client *api.Client
-
-	mu       sync.Mutex
-	cooldown time.Time // unroutable until this instant
-	assigned int64     // jobs ever dispatched here
-	inflight int64     // dispatched and not yet finished
-	queued   int       // last /healthz scheduler counters
-	running  int
-}
-
-func (w *worker) healthy(now time.Time) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !now.Before(w.cooldown) || w.cooldown.IsZero()
-}
-
-func (w *worker) benched(until time.Time) {
-	w.mu.Lock()
-	w.cooldown = until
-	w.mu.Unlock()
-}
-
-func (w *worker) view(now time.Time) api.WorkerHealth {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return api.WorkerHealth{
-		URL:      w.url,
-		Healthy:  !now.Before(w.cooldown) || w.cooldown.IsZero(),
-		Assigned: w.assigned,
-		Inflight: w.inflight,
+// orDefault replaces a non-positive setting with its default.
+func orDefault[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
 }
 
-// Coordinator shards campaigns across a worker fleet. Construct with New,
-// serve its Handler, or drive it directly through Submit/Status/Results.
+// Coordinator is the job engine: a worker node or a campaign coordinator,
+// by Config.Workers. Construct with New, serve its Handler, or drive a
+// coordinator directly through Submit/Status/Results.
 type Coordinator struct {
 	cfg     Config
-	workers []*worker
-	spec    PolicySpec
+	exec    executor
+	fleet   *fleet           // nil on a worker node
+	caps    api.Capabilities // served by /v1/capabilities: c3d's own, or the fleet's shared one
 	bucket  *tokenBucket
 	cache   *resultCache
-	caps    api.Capabilities
-	sem     chan struct{} // global dispatch slots
-	journal *journal      // nil without JournalDir
+	journal *journal // nil without JournalDir
 
-	// stopCtx is the parent of every campaign context: cancelling it (Close)
-	// cancels all running campaigns at once. runWg counts live campaign
-	// runners so Close and Drain can wait for them.
+	// stopCtx is the parent of every job and campaign context: cancelling
+	// it (Close) cancels all running work at once. wg counts the run slots,
+	// campaign runners and dispatch goroutines; a queued job always has a
+	// run slot, so wg reaching zero means every admitted job and campaign
+	// has settled, which is what Close and Drain wait for.
 	stopCtx   context.Context
 	stop      context.CancelFunc
-	runWg     sync.WaitGroup
+	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	policyMu sync.Mutex // serialises Pick (policies keep state)
-	policy   Policy
-
 	mu        sync.Mutex
-	campaigns map[string]*campaign
-	order     []*campaign // insertion order, for listing + eviction
-	nextID    int
+	pending   []*job // FIFO of jobs waiting for a run slot
+	slots     int    // run slots open, at most MaxConcurrent
+	jobs      table[*job]
+	campaigns table[*campaign]
 	closed    bool
 }
 
-// New builds a coordinator and performs the capabilities handshake: every
-// worker must be reachable and the fleet must be homogeneous (identical
-// capability documents), because a heterogeneous fleet could route the same
-// spec to workers that disagree about it. The fleet's shared capabilities
-// become the coordinator's own /v1/capabilities answer.
+// New builds the engine. With Workers set it performs the fleet's
+// capabilities handshake (see newFleet) and, with JournalDir, replays the
+// journal.
 func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Workers) == 0 {
-		return nil, fmt.Errorf("campaign: no workers configured")
-	}
-	if cfg.DispatchTimeout < 0 {
-		return nil, fmt.Errorf("campaign: DispatchTimeout must be non-negative")
-	}
-	if cfg.HedgeAfter < 0 {
-		return nil, fmt.Errorf("campaign: HedgeAfter must be non-negative")
-	}
-	spec, err := LookupPolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.DispatchTimeout < 0 || cfg.HedgeAfter < 0 {
+		return nil, fmt.Errorf("campaign: DispatchTimeout and HedgeAfter must be non-negative")
 	}
 	diskCache := ""
 	if cfg.JournalDir != "" {
@@ -220,37 +184,23 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	stopCtx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:       cfg,
-		spec:      spec,
-		policy:    spec.New(),
+		exec:      local{},
+		caps:      c3d.CurrentCapabilities(),
 		bucket:    newTokenBucket(cfg.RatePerSec, cfg.Burst),
 		cache:     newResultCache(cfg.CacheEntries, diskCache, cfg.Logf),
-		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		stopCtx:   stopCtx,
 		stop:      stop,
-		campaigns: make(map[string]*campaign),
+		jobs:      table[*job]{prefix: "job", max: cfg.MaxJobs},
+		campaigns: table[*campaign]{prefix: "campaign", max: cfg.MaxCampaigns},
 	}
-	for i, u := range cfg.Workers {
-		c.workers = append(c.workers, &worker{
-			index:  i,
-			url:    u,
-			client: api.NewClient(u, cfg.ClientOptions...),
-		})
-	}
-	for i, w := range c.workers {
-		caps, err := w.client.Capabilities(ctx)
+	if len(cfg.Workers) > 0 {
+		f, err := newFleet(ctx, cfg, &c.wg)
 		if err != nil {
 			stop()
-			return nil, fmt.Errorf("campaign: worker %s handshake: %w", w.url, err)
+			return nil, err
 		}
-		if i == 0 {
-			c.caps = *caps
-			continue
-		}
-		if !reflect.DeepEqual(c.caps, *caps) {
-			stop()
-			return nil, fmt.Errorf("campaign: heterogeneous fleet: %s (version %s) and %s (version %s) disagree on capabilities",
-				c.workers[0].url, c.caps.Version, w.url, caps.Version)
-		}
+		c.exec, c.fleet, c.caps = f, f, f.caps
+		cfg.Logf("campaign: coordinator up: %d workers, policy %s", len(f.workers), f.spec.Name)
 	}
 	if cfg.JournalDir != "" {
 		jl, recs, err := openJournal(cfg.JournalDir, cfg.Logf)
@@ -261,7 +211,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		c.journal = jl
 		c.replay(recs)
 	}
-	cfg.Logf("campaign: coordinator up: %d workers, policy %s", len(c.workers), spec.Name)
 	return c, nil
 }
 
@@ -276,36 +225,23 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 // makes the resumed output byte-identical to an uninterrupted run.
 func (c *Coordinator) replay(recs []journalRecord) {
 	states, maxSeq := replayJournal(recs)
-	c.nextID = maxSeq
+	c.campaigns.nextID = maxSeq
 	resumed := 0
 	for _, st := range states {
-		ctx, cancel := context.WithCancel(c.stopCtx)
-		cp := &campaign{id: st.id, created: time.Now(), ctx: ctx, cancel: cancel, state: api.StateRunning}
-		ok := true
-		for _, js := range st.spec.Jobs {
-			key, err := CacheKey(js)
-			if err != nil {
-				c.cfg.Logf("campaign: replay: %s has an uncanonicalisable spec (%v); dropping it", st.id, err)
-				ok = false
-				break
-			}
-			cp.jobs = append(cp.jobs, &campaignJob{spec: js, key: key, state: api.StateQueued})
-		}
-		if !ok || len(cp.jobs) == 0 {
-			cancel()
+		cp, err := c.newCampaign(st.spec.Jobs)
+		if err != nil {
+			c.cfg.Logf("campaign: replay: dropping %s: %v", st.id, err)
 			continue
 		}
-		if api.Terminal(st.state) {
-			c.restoreTerminal(cp, st)
-		} else {
-			c.runWg.Add(1)
-			go c.run(cp)
+		cp.id = st.id
+		c.mu.Lock()
+		c.campaigns.add(cp.id, cp)
+		c.mu.Unlock()
+		if !api.Terminal(st.state) || !c.restoreTerminal(cp, st) {
+			c.wg.Add(1)
+			c.start(cp)
 			resumed++
 		}
-		c.mu.Lock()
-		c.campaigns[cp.id] = cp
-		c.order = append(c.order, cp)
-		c.mu.Unlock()
 	}
 	if len(states) > 0 {
 		c.cfg.Logf("campaign: journal replayed: %d campaigns restored, %d resumed", len(states)-resumed, resumed)
@@ -315,62 +251,60 @@ func (c *Coordinator) replay(recs []journalRecord) {
 // restoreTerminal settles a replayed campaign that had already reached a
 // terminal state: jobs whose results are still in the cache come back as
 // done cache hits, the rest inherit the campaign's fate. A done campaign
-// missing a result (cache wiped between runs) is demoted to a re-run — the
-// journal records intent, the cache holds the bytes.
-func (c *Coordinator) restoreTerminal(cp *campaign, st *replayState) {
+// missing a result (cache wiped between runs) is left for a re-run and
+// reports false — the journal records intent, the cache holds the bytes.
+func (c *Coordinator) restoreTerminal(cp *campaign, st *replayState) bool {
 	if st.state == api.StateDone {
 		for _, j := range cp.jobs {
 			if !c.cache.has(j.key) {
 				c.cfg.Logf("campaign: replay: %s is journaled done but result %s is gone; re-running", cp.id, j.key)
-				c.runWg.Add(1)
-				go c.run(cp)
-				return
+				return false
 			}
 		}
 	}
 	for _, j := range cp.jobs {
 		if data, ok := c.cache.get(j.key); ok {
-			j.state, j.result, j.cacheHit = api.StateDone, data, true
+			j.hit(data)
 		} else {
-			j.state, j.errMsg = api.StateCancelled, "not completed before shutdown"
+			j.requestCancel(errors.New("not completed before shutdown"))
 		}
 	}
-	cp.state, cp.err = st.state, st.errMsg
+	cp.settle(st.state, st.errMsg)
 	cp.cancel()
+	return true
 }
 
-// Capabilities returns the fleet's shared capability document.
-func (c *Coordinator) Capabilities() api.Capabilities { return c.caps }
-
-// Close hard-stops the coordinator: admission stops, every running campaign
-// is cancelled (in-flight worker jobs get a best-effort cancel), and Close
-// blocks until all campaign runners have settled. Stop-interrupted campaigns
-// are deliberately not journaled terminal, so a journal-configured restart
-// resumes them where they left off. Idempotent.
+// Close hard-stops the engine: admission stops, every queued and running
+// job and campaign is cancelled (in-flight worker jobs get a best-effort
+// cancel), and Close blocks until the run slots and all campaign runners
+// have settled. Stop-interrupted campaigns are deliberately not journaled
+// terminal, so a journal-configured restart resumes them where they left
+// off. Idempotent.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
 		c.closed = true
 		c.mu.Unlock()
 		c.stop()
-		c.runWg.Wait()
+		c.wg.Wait()
 		c.journal.close()
-		c.cfg.Logf("campaign: coordinator stopped")
+		c.cfg.Logf("campaign: stopped")
 	})
 }
 
-// Drain gracefully stops the coordinator: admission stops immediately (new
-// submissions answer 503 shutting_down), campaigns already admitted run to
-// completion, and Drain returns once they settle — or once ctx expires, in
-// which case it falls back to Close's hard cancel and returns ctx's error.
-// Either way the coordinator is fully stopped on return.
+// Drain gracefully stops the engine: admission stops immediately (new
+// submissions answer 503 shutting_down), jobs and campaigns already
+// admitted — running or still queued — run to completion, and Drain returns
+// once they settle, or once ctx expires, in which case it falls back to
+// Close's hard cancel and returns ctx's error. Either way the engine is
+// fully stopped on return.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		c.runWg.Wait()
+		c.wg.Wait()
 		close(done)
 	}()
 	var err error
@@ -378,141 +312,136 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		err = ctx.Err()
-		c.cfg.Logf("campaign: drain deadline expired; cancelling remaining campaigns")
+		c.cfg.Logf("campaign: drain deadline expired; cancelling remaining work")
 	}
 	c.Close()
 	return err
 }
 
-// campaign is one submitted CampaignSpec working its way through the fleet.
+// campaign is one submitted CampaignSpec working its way through the
+// executor.
 type campaign struct {
 	id      string
 	created time.Time
 	ctx     context.Context
 	cancel  context.CancelFunc
+	jobs    []*job
 
-	mu    sync.Mutex
-	state string
-	err   string
-	jobs  []*campaignJob
+	mu  sync.Mutex
+	st  string
+	err string
 }
 
-type campaignJob struct {
-	spec api.JobSpec
-	key  string // content address
-
-	mu       sync.Mutex
-	state    string
-	worker   string
-	cacheHit bool
-	attempts int
-	hedges   int
-	errMsg   string
-	result   []byte
+func (cp *campaign) state() string {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.st
 }
 
-// Submit admits a campaign: validates every spec against the fleet's
+func (cp *campaign) settle(state, errMsg string) {
+	cp.mu.Lock()
+	cp.st, cp.err = state, errMsg
+	cp.mu.Unlock()
+}
+
+// newCampaign builds an unregistered campaign whose jobs hang off its
+// context, keyed by content address.
+func (c *Coordinator) newCampaign(specs []api.JobSpec) (*campaign, error) {
+	if len(specs) == 0 {
+		return nil, errors.New("campaign has no jobs")
+	}
+	ctx, cancel := context.WithCancel(c.stopCtx)
+	cp := &campaign{created: time.Now(), ctx: ctx, cancel: cancel, st: api.StateRunning}
+	for i, js := range specs {
+		key, err := CacheKey(js)
+		if err != nil {
+			cancel()
+			return nil, err
+		}
+		j := newJob("", js, ctx)
+		j.cp, j.index, j.key = cp, i, key
+		cp.jobs = append(cp.jobs, j)
+	}
+	return cp, nil
+}
+
+// Submit admits a campaign: validates every spec against the engine's
 // capabilities, charges the token bucket one token per job (atomically —
 // admit all or reject all), and starts the runner. Errors are *api.Error so
 // the HTTP layer maps them directly.
 func (c *Coordinator) Submit(spec api.CampaignSpec) (*api.SubmitResponse, error) {
-	if len(spec.Jobs) == 0 {
-		return nil, &api.Error{Code: api.CodeInvalidSpec, Message: "campaign has no jobs", HTTPStatus: http.StatusBadRequest}
-	}
 	for i, js := range spec.Jobs {
 		if err := c.caps.SupportsSpec(js); err != nil {
-			return nil, &api.Error{
-				Code:       api.CodeInvalidSpec,
-				Message:    fmt.Sprintf("job %d: %v", i, err),
-				HTTPStatus: http.StatusBadRequest,
-			}
+			return nil, apiError(http.StatusBadRequest, api.CodeInvalidSpec, "job %d: %v", i, err)
 		}
 	}
 	if !c.bucket.take(len(spec.Jobs)) {
-		return nil, &api.Error{
-			Code:       api.CodeRateLimited,
-			Message:    fmt.Sprintf("admission rate exceeded (%d jobs; %g/s, burst %d)", len(spec.Jobs), c.cfg.RatePerSec, c.cfg.Burst),
-			HTTPStatus: http.StatusTooManyRequests,
-		}
+		return nil, apiError(http.StatusTooManyRequests, api.CodeRateLimited,
+			"admission rate exceeded (%d jobs; %g/s, burst %d)", len(spec.Jobs), c.cfg.RatePerSec, c.cfg.Burst)
 	}
-
-	ctx, cancel := context.WithCancel(c.stopCtx)
-	cp := &campaign{created: time.Now(), ctx: ctx, cancel: cancel, state: api.StateRunning}
-	for _, js := range spec.Jobs {
-		key, err := CacheKey(js)
-		if err != nil {
-			cancel()
-			return nil, &api.Error{Code: api.CodeInvalidSpec, Message: err.Error(), HTTPStatus: http.StatusBadRequest}
-		}
-		cp.jobs = append(cp.jobs, &campaignJob{spec: js, key: key, state: api.StateQueued})
+	cp, err := c.newCampaign(spec.Jobs)
+	if err != nil {
+		return nil, apiError(http.StatusBadRequest, api.CodeInvalidSpec, "%v", err)
 	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		cancel()
-		return nil, &api.Error{Code: api.CodeShuttingDown, Message: "coordinator is shutting down", HTTPStatus: http.StatusServiceUnavailable}
+		cp.cancel()
+		return nil, apiError(http.StatusServiceUnavailable, api.CodeShuttingDown, "coordinator is shutting down")
 	}
-	c.nextID++
-	cp.id = fmt.Sprintf("campaign-%06d", c.nextID)
-	c.campaigns[cp.id] = cp
-	c.order = append(c.order, cp)
-	c.evictLocked()
-	c.runWg.Add(1)
+	cp.id = c.campaigns.newID()
+	c.campaigns.add(cp.id, cp)
+	c.wg.Add(1)
 	c.mu.Unlock()
 
-	// Journal admission before the runner starts, so job records can never
+	// Journal admission before any job is queued, so job records can never
 	// precede their campaign record in the WAL.
 	c.journal.append(journalRecord{Type: recCampaign, ID: cp.id, Spec: &spec})
 	c.cfg.Logf("campaign: %s admitted: %d jobs", cp.id, len(cp.jobs))
-	go c.run(cp)
+	c.start(cp)
 	return &api.SubmitResponse{ID: cp.id, State: api.StateRunning}, nil
 }
 
-// evictLocked drops the oldest finished campaigns beyond the retention
-// bound; unfinished campaigns are never evicted. Mirrors the job-table
-// eviction in internal/server.
-func (c *Coordinator) evictLocked() {
-	excess := len(c.order) - c.cfg.MaxCampaigns
-	if excess <= 0 {
-		return
-	}
-	kept := c.order[:0]
-	for _, cp := range c.order {
-		if excess > 0 && api.Terminal(cp.snapshot().State) {
-			delete(c.campaigns, cp.id)
-			excess--
-			continue
+// start resolves a campaign's cached jobs, queues the rest and starts its
+// runner. The caller has counted the runner in c.wg.
+func (c *Coordinator) start(cp *campaign) {
+	var misses []*job
+	for _, j := range cp.jobs {
+		j.id = fmt.Sprintf("%s job %d", cp.id, j.index)
+		if data, ok := c.cache.get(j.key); ok {
+			j.hit(data)
+			c.journal.append(journalRecord{Type: recJob, ID: cp.id, Index: j.index, Key: j.key, State: api.StateDone})
+		} else {
+			misses = append(misses, j)
 		}
-		kept = append(kept, cp)
 	}
-	c.order = kept
+	c.mu.Lock()
+	for _, j := range misses {
+		c.enqueueLocked(j)
+	}
+	c.mu.Unlock()
+	go c.run(cp)
 }
 
-// run executes every job of a campaign (bounded by the coordinator-wide
-// dispatch semaphore) and settles the campaign state when all are terminal.
+// run waits for every job of a campaign and settles the campaign state.
+// Cancelling the campaign settles its still-queued jobs at once, so they do
+// not hold the runner until a run slot frees.
 func (c *Coordinator) run(cp *campaign) {
-	defer c.runWg.Done()
-	var wg sync.WaitGroup
-	for i, j := range cp.jobs {
-		wg.Add(1)
-		go func(idx int, j *campaignJob) {
-			defer wg.Done()
-			select {
-			case c.sem <- struct{}{}:
-				defer func() { <-c.sem }()
-			case <-cp.ctx.Done():
-				j.finish(api.StateCancelled, "", "campaign cancelled")
-				return
-			}
-			c.runJob(cp, idx, j)
-		}(i, j)
+	defer c.wg.Done()
+	stop := context.AfterFunc(cp.ctx, func() {
+		for _, j := range cp.jobs {
+			j.requestCancel(errCampaignCancelled)
+		}
+	})
+	for _, j := range cp.jobs {
+		<-j.done
 	}
-	wg.Wait()
+	stop()
 
 	state, errMsg := api.StateDone, ""
 	for i, j := range cp.jobs {
-		js := j.doc(i)
+		js := j.campaignDoc()
 		switch js.State {
 		case api.StateFailed:
 			state = api.StateFailed
@@ -525,379 +454,20 @@ func (c *Coordinator) run(cp *campaign) {
 			}
 		}
 	}
-	cp.mu.Lock()
-	cp.state, cp.err = state, errMsg
-	cp.mu.Unlock()
+	cp.settle(state, errMsg)
 	cp.cancel()
-	// A cancellation caused by coordinator shutdown is not a verdict on the
+	// A cancellation caused by engine shutdown is not a verdict on the
 	// campaign — leave it non-terminal in the journal so a restart resumes
 	// it. Every other settlement (done, failed, user cancel) is journaled.
 	if c.stopCtx.Err() == nil || state != api.StateCancelled {
 		c.journal.append(journalRecord{Type: recCampaignState, ID: cp.id, State: state, Error: errMsg})
 	}
-	c.cfg.Logf("campaign: %s %s (cache hits %d/%d)", cp.id, state, cp.cacheHits(), len(cp.jobs))
-}
-
-// runJob resolves one job: cache first, then dispatch with
-// retry-and-reassignment. Worker-reported failure is deterministic and
-// final; a worker that vanished, hung past the dispatch deadline or
-// cancelled underneath us is benched for the cooldown and the job is
-// reassigned, up to MaxAttempts.
-func (c *Coordinator) runJob(cp *campaign, idx int, j *campaignJob) {
-	if data, ok := c.cache.get(j.key); ok {
-		j.mu.Lock()
-		j.state, j.result, j.cacheHit = api.StateDone, data, true
-		j.mu.Unlock()
-		c.journal.append(journalRecord{Type: recJob, ID: cp.id, Index: idx, Key: j.key, State: api.StateDone})
-		return
-	}
-
-	var lastErr string
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		if cp.ctx.Err() != nil {
-			j.finish(api.StateCancelled, "", "campaign cancelled")
-			return
-		}
-		w := c.pick(cp.ctx)
-		if w == nil {
-			if cp.ctx.Err() != nil {
-				j.finish(api.StateCancelled, "", "campaign cancelled")
-			} else {
-				j.finish(api.StateFailed, "", fmt.Sprintf("no healthy worker (after %d attempts: %s)", attempt-1, lastErr))
-			}
-			return
-		}
-		j.mu.Lock()
-		j.state, j.worker, j.attempts = api.StateRunning, w.url, attempt
-		j.mu.Unlock()
-
-		data, permanent, err := c.dispatchHedged(cp, idx, j, w)
-		if err == nil {
-			c.cache.put(j.key, data)
-			j.finish(api.StateDone, "", "")
-			j.mu.Lock()
-			j.result = data
-			j.mu.Unlock()
-			c.journal.append(journalRecord{Type: recJob, ID: cp.id, Index: idx, Key: j.key, State: api.StateDone})
-			return
-		}
-		if cp.ctx.Err() != nil {
-			j.finish(api.StateCancelled, "", "campaign cancelled")
-			return
-		}
-		if permanent {
-			// Deterministic failure: every worker would report the same, and
-			// the campaign cannot succeed — stop paying for its other jobs.
-			j.finish(api.StateFailed, "", err.Error())
-			cp.cancel()
-			return
-		}
-		lastErr = err.Error()
-	}
-	j.finish(api.StateFailed, "", fmt.Sprintf("exhausted %d attempts: %s", c.cfg.MaxAttempts, lastErr))
-	cp.cancel()
-}
-
-// dispatchHedged runs one dispatch round for a job: a primary worker, plus —
-// when HedgeAfter is set and the primary is slow — at most one speculative
-// re-dispatch to a second worker. First verdict wins: a success or a
-// deterministic failure from either dispatch settles the round and cancels
-// the other (which in turn cancels the job worker-side). Hedging is safe
-// because results are content-addressed and bit-deterministic, so a
-// duplicated job can waste a dispatch but never change an answer. A worker
-// whose dispatch failed transiently (or timed out against DispatchTimeout)
-// is benched inside the round.
-func (c *Coordinator) dispatchHedged(cp *campaign, idx int, j *campaignJob, primary *worker) ([]byte, bool, error) {
-	type outcome struct {
-		w         *worker
-		data      []byte
-		permanent bool
-		err       error
-	}
-	results := make(chan outcome, 2) // buffered: a late loser must never block
-	var cancelMu sync.Mutex
-	var cancels []context.CancelFunc
-	cancelAll := func() {
-		cancelMu.Lock()
-		for _, cancel := range cancels {
-			cancel()
-		}
-		cancelMu.Unlock()
-	}
-	defer cancelAll()
-
-	launch := func(w *worker) {
-		ctx, cancel := context.WithCancel(cp.ctx)
-		if c.cfg.DispatchTimeout > 0 {
-			ctx, cancel = context.WithTimeout(cp.ctx, c.cfg.DispatchTimeout)
-		}
-		cancelMu.Lock()
-		cancels = append(cancels, cancel)
-		cancelMu.Unlock()
-		c.runWg.Add(1)
-		go func() {
-			defer c.runWg.Done()
-			data, permanent, err := c.dispatch(ctx, w, j.spec)
-			results <- outcome{w: w, data: data, permanent: permanent, err: err}
-		}()
-	}
-	launch(primary)
-	launched := 1
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeAfter > 0 {
-		hedgeTimer = time.NewTimer(c.cfg.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	var firstErr error
-	for settled := 0; settled < launched; {
-		select {
-		case out := <-results:
-			settled++
-			if out.err == nil || out.permanent {
-				// This dispatch settles the round; credit (or blame) its
-				// worker, which under hedging may not be the primary.
-				j.mu.Lock()
-				j.worker = out.w.url
-				j.mu.Unlock()
-				return out.data, out.permanent, out.err
-			}
-			if cp.ctx.Err() == nil {
-				until := time.Now().Add(c.cfg.Cooldown)
-				out.w.benched(until)
-				c.cfg.Logf("campaign: %s job %d on %s failed transiently (%v); benching worker until %s",
-					cp.id, idx, out.w.url, out.err, until.Format(time.RFC3339))
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hw := c.pickHedge(primary)
-			if hw == nil {
-				continue // no second worker free; keep waiting on the primary
-			}
-			j.mu.Lock()
-			j.attempts++
-			j.hedges++
-			j.mu.Unlock()
-			c.cfg.Logf("campaign: %s job %d straggling on %s after %s; hedging to %s",
-				cp.id, idx, primary.url, c.cfg.HedgeAfter, hw.url)
-			launch(hw)
-			launched++
-		}
-	}
-	return nil, false, firstErr
-}
-
-// pickHedge chooses a second worker for a hedged dispatch: routable and not
-// the primary, through the policy but without a load refresh — a hedge is
-// opportunistic, so if no other worker is routable right now there simply is
-// no hedge.
-func (c *Coordinator) pickHedge(primary *worker) *worker {
-	now := time.Now()
-	var views []WorkerView
-	for _, w := range c.workers {
-		if w == primary || !w.healthy(now) {
-			continue
-		}
-		w.mu.Lock()
-		views = append(views, WorkerView{
-			Index:    w.index,
-			URL:      w.url,
-			Healthy:  true,
-			Queued:   w.queued,
-			Running:  w.running,
-			Inflight: w.inflight,
-			Assigned: w.assigned,
-		})
-		w.mu.Unlock()
-	}
-	if len(views) == 0 {
-		return nil
-	}
-	c.policyMu.Lock()
-	i := c.policy.Pick(views)
-	c.policyMu.Unlock()
-	if i < 0 || i >= len(views) {
-		return nil
-	}
-	return c.workers[views[i].Index]
-}
-
-// pick chooses a worker through the routing policy, refreshing /healthz
-// counters first when the policy needs load data. When every worker is
-// benched it waits for the earliest cooldown to lapse rather than failing —
-// a fleet-wide blip should not kill a campaign. Returns nil only when the
-// campaign is cancelled while waiting.
-func (c *Coordinator) pick(ctx context.Context) *worker {
-	for {
-		now := time.Now()
-		if c.spec.NeedsLoad {
-			c.refreshLoads(ctx)
-			now = time.Now()
-		}
-		var views []WorkerView
-		for _, w := range c.workers {
-			if !w.healthy(now) {
-				continue
-			}
-			w.mu.Lock()
-			views = append(views, WorkerView{
-				Index:    w.index,
-				URL:      w.url,
-				Healthy:  true,
-				Queued:   w.queued,
-				Running:  w.running,
-				Inflight: w.inflight,
-				Assigned: w.assigned,
-			})
-			w.mu.Unlock()
-		}
-		if len(views) > 0 {
-			c.policyMu.Lock()
-			i := c.policy.Pick(views)
-			c.policyMu.Unlock()
-			if i >= 0 && i < len(views) {
-				return c.workers[views[i].Index]
-			}
-		}
-		// All benched (or the policy abstained): wait for the earliest
-		// cooldown to lapse, then retry.
-		wait := c.cfg.Cooldown
-		for _, w := range c.workers {
-			w.mu.Lock()
-			if d := w.cooldown.Sub(now); d > 0 && d < wait {
-				wait = d
-			}
-			w.mu.Unlock()
-		}
-		select {
-		case <-time.After(wait + time.Millisecond):
-		case <-ctx.Done():
-			return nil
-		}
-	}
-}
-
-// refreshLoads probes every routable worker's /healthz so load-aware
-// policies see fresh scheduler counters. A worker that fails its probe is
-// benched — the probe doubles as a health check.
-func (c *Coordinator) refreshLoads(ctx context.Context) {
-	now := time.Now()
-	var wg sync.WaitGroup
-	for _, w := range c.workers {
-		if !w.healthy(now) {
-			continue
-		}
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			probeCtx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-			defer cancel()
-			h, err := w.client.Health(probeCtx)
-			if err != nil {
-				w.benched(time.Now().Add(c.cfg.Cooldown))
-				return
-			}
-			w.mu.Lock()
-			w.queued, w.running = h.Queued, h.Running
-			w.mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-}
-
-// dispatch runs one job on one worker end to end: submit, wait, fetch the
-// result. permanent marks failures that retrying elsewhere cannot fix (the
-// job itself failed — deterministic); everything else (transport errors,
-// the worker cancelling the job, e.g. during shutdown) is transient and
-// worth reassigning.
-func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec api.JobSpec) (data []byte, permanent bool, err error) {
-	w.mu.Lock()
-	w.assigned++
-	w.inflight++
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.inflight--
-		w.mu.Unlock()
-	}()
-
-	sub, err := w.client.Submit(ctx, spec)
-	if err != nil {
-		return nil, false, fmt.Errorf("submit: %w", err)
-	}
-	st, err := w.client.Wait(ctx, sub.ID)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Campaign cancelled, dispatch deadline hit, or a hedge won
-			// elsewhere: tell the worker to stop wasting cycles on this job.
-			cancelCtx, cancel := context.WithTimeout(context.Background(), c.cfg.CancelGrace)
-			defer cancel()
-			w.client.Cancel(cancelCtx, sub.ID)
-		}
-		return nil, false, fmt.Errorf("wait for %s: %w", sub.ID, err)
-	}
-	switch st.State {
-	case api.StateDone:
-		raw, err := w.client.Result(ctx, sub.ID)
-		if err != nil {
-			return nil, false, fmt.Errorf("result of %s: %w", sub.ID, err)
-		}
-		// Keep the JSON value bytes only: a result endpoint's trailing
-		// newline is presentation, and json.RawMessage cannot carry it
-		// through the results envelope anyway. Trimming here keeps the
-		// cache, the Go API and the HTTP API bit-for-bit consistent.
-		return bytes.TrimSpace(raw), false, nil
-	case api.StateFailed:
-		return nil, true, fmt.Errorf("worker %s job %s failed: %s", w.url, sub.ID, st.Error)
-	default: // cancelled underneath us (worker drain/restart)
-		return nil, false, fmt.Errorf("worker %s job %s %s", w.url, sub.ID, st.State)
-	}
-}
-
-func (j *campaignJob) finish(state, workerURL, errMsg string) {
-	j.mu.Lock()
-	j.state, j.errMsg = state, errMsg
-	if workerURL != "" {
-		j.worker = workerURL
-	}
-	j.mu.Unlock()
-}
-
-func (j *campaignJob) doc(idx int) api.CampaignJob {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return api.CampaignJob{
-		Index:    idx,
-		State:    j.state,
-		Worker:   j.worker,
-		CacheHit: j.cacheHit,
-		Attempts: j.attempts,
-		Hedges:   j.hedges,
-		Error:    j.errMsg,
-	}
-}
-
-func (cp *campaign) cacheHits() int {
-	n := 0
-	for _, j := range cp.jobs {
-		j.mu.Lock()
-		if j.cacheHit {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
+	c.cfg.Logf("campaign: %s %s (cache hits %d/%d)", cp.id, state, cp.snapshot().CacheHits, len(cp.jobs))
 }
 
 func (cp *campaign) snapshot() api.CampaignStatus {
 	cp.mu.Lock()
-	state, errMsg := cp.state, cp.err
+	state, errMsg := cp.st, cp.err
 	cp.mu.Unlock()
 	st := api.CampaignStatus{
 		ID:    cp.id,
@@ -906,8 +476,8 @@ func (cp *campaign) snapshot() api.CampaignStatus {
 		Total: len(cp.jobs),
 		Jobs:  make([]api.CampaignJob, 0, len(cp.jobs)),
 	}
-	for i, j := range cp.jobs {
-		doc := j.doc(i)
+	for _, j := range cp.jobs {
+		doc := j.campaignDoc()
 		st.Jobs = append(st.Jobs, doc)
 		if doc.State == api.StateDone {
 			st.Done++
@@ -919,19 +489,11 @@ func (cp *campaign) snapshot() api.CampaignStatus {
 	return st
 }
 
-// lookup finds a campaign by id.
-func (c *Coordinator) lookup(id string) (*campaign, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cp, ok := c.campaigns[id]
-	return cp, ok
-}
-
 // Status returns one campaign's status document.
 func (c *Coordinator) Status(id string) (*api.CampaignStatus, error) {
-	cp, ok := c.lookup(id)
-	if !ok {
-		return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("unknown campaign %q", id), HTTPStatus: http.StatusNotFound}
+	cp, err := find(c, &c.campaigns, "campaign", id)
+	if err != nil {
+		return nil, err
 	}
 	st := cp.snapshot()
 	return &st, nil
@@ -940,49 +502,32 @@ func (c *Coordinator) Status(id string) (*api.CampaignStatus, error) {
 // List returns one page of campaign statuses in submission order.
 func (c *Coordinator) List(offset, limit int) *api.CampaignPage {
 	c.mu.Lock()
-	all := make([]*campaign, len(c.order))
-	copy(all, c.order)
-	c.mu.Unlock()
-	total := len(all)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	page := api.CampaignPage{Campaigns: []api.CampaignStatus{}, Total: total, Offset: offset}
-	for _, cp := range all[offset:end] {
-		page.Campaigns = append(page.Campaigns, cp.snapshot())
-	}
-	return &page
+	defer c.mu.Unlock()
+	cps, total, offset := pageOf(&c.campaigns, offset, limit, (*campaign).snapshot)
+	return &api.CampaignPage{Campaigns: cps, Total: total, Offset: offset}
 }
 
 // Results returns a finished campaign's per-job result documents in
 // submission order. Unfinished campaigns answer conflict; failed or
 // cancelled ones answer job_failed with the first error.
 func (c *Coordinator) Results(id string) (*api.CampaignResults, error) {
-	cp, ok := c.lookup(id)
-	if !ok {
-		return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("unknown campaign %q", id), HTTPStatus: http.StatusNotFound}
+	cp, err := find(c, &c.campaigns, "campaign", id)
+	if err != nil {
+		return nil, err
 	}
 	st := cp.snapshot()
 	switch {
 	case st.State == api.StateDone:
 		res := &api.CampaignResults{ID: cp.id, Results: make([]json.RawMessage, len(cp.jobs))}
 		for i, j := range cp.jobs {
-			j.mu.Lock()
-			res.Results[i] = json.RawMessage(j.result)
-			j.mu.Unlock()
+			_, result, _ := j.outcome()
+			res.Results[i] = json.RawMessage(result)
 		}
 		return res, nil
 	case api.Terminal(st.State):
-		return nil, &api.Error{Code: api.CodeJobFailed, Message: fmt.Sprintf("campaign %s %s: %s", cp.id, st.State, st.Error), HTTPStatus: http.StatusUnprocessableEntity}
+		return nil, apiError(http.StatusUnprocessableEntity, api.CodeJobFailed, "campaign %s %s: %s", cp.id, st.State, st.Error)
 	default:
-		return nil, &api.Error{Code: api.CodeConflict, Message: fmt.Sprintf("campaign %s is %s; poll the status endpoint", cp.id, st.State), HTTPStatus: http.StatusConflict}
+		return nil, apiError(http.StatusConflict, api.CodeConflict, "campaign %s is %s; poll the status endpoint", cp.id, st.State)
 	}
 }
 
@@ -990,36 +535,27 @@ func (c *Coordinator) Results(id string) (*api.CampaignResults, error) {
 // are cancelled, and the campaign settles as cancelled (or whatever terminal
 // state it had already reached).
 func (c *Coordinator) Cancel(id string) (*api.CampaignStatus, error) {
-	cp, ok := c.lookup(id)
-	if !ok {
-		return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("unknown campaign %q", id), HTTPStatus: http.StatusNotFound}
+	if cp, err := find(c, &c.campaigns, "campaign", id); err == nil {
+		cp.cancel()
 	}
-	cp.cancel()
-	st := cp.snapshot()
-	return &st, nil
+	return c.Status(id)
 }
 
-// Health reports the coordinator's liveness document: campaign counts in the
-// scheduler-counter positions, plus the fleet and cache views.
+// Health reports the engine's liveness document. The scheduler counters
+// count the table the mode serves — jobs on a worker node, campaigns on a
+// coordinator — and a coordinator adds its fleet and cache views.
 func (c *Coordinator) Health() api.Health {
 	c.mu.Lock()
 	status := "ok"
 	if c.closed {
+		// Draining: admitted work is finishing, new submissions answer 503.
 		status = "draining"
 	}
-	var queued, running, finished int
-	for _, cp := range c.order {
-		switch cp.snapshot().State {
-		case api.StateRunning:
-			running++
-		case api.StateQueued:
-			queued++
-		default:
-			finished++
-		}
+	queued, running, finished := c.jobs.counts()
+	if c.fleet != nil {
+		queued, running, finished = c.campaigns.counts()
 	}
 	c.mu.Unlock()
-	now := time.Now()
 	h := api.Health{
 		Status:   status,
 		Version:  c.caps.Version,
@@ -1027,10 +563,13 @@ func (c *Coordinator) Health() api.Health {
 		Running:  running,
 		Finished: finished,
 	}
-	for _, w := range c.workers {
-		h.Workers = append(h.Workers, w.view(now))
+	if c.fleet != nil {
+		now := time.Now()
+		for _, w := range c.fleet.workers {
+			h.Workers = append(h.Workers, w.view(now))
+		}
+		stats := c.cache.stats()
+		h.Cache = &stats
 	}
-	stats := c.cache.stats()
-	h.Cache = &stats
 	return h
 }

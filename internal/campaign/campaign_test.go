@@ -11,18 +11,17 @@ import (
 	"testing"
 	"time"
 
-	"c3d/internal/server"
 	"c3d/pkg/c3d"
 	"c3d/pkg/c3d/api"
 )
 
-// startWorkers brings up n real worker daemons (the same internal/server the
-// production c3dd runs) over HTTP and returns their base URLs.
+// startWorkers brings up n real worker daemons (the same local-mode engine
+// the production c3dd runs) over HTTP and returns their base URLs.
 func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		s := server.New(server.Config{MaxConcurrent: 2})
+		s := newLocal(t, Config{MaxConcurrent: 2})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() { ts.Close(); s.Close() })
 		urls[i] = ts.URL

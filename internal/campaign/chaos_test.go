@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"c3d/internal/faultify"
-	"c3d/internal/server"
 	"c3d/pkg/c3d/api"
 )
 
@@ -25,7 +24,7 @@ func chaosWorkers(t *testing.T, n int, plan string, seed uint64) []string {
 	}
 	urls := make([]string, n)
 	for i := range urls {
-		s := server.New(server.Config{MaxConcurrent: 2})
+		s := newLocal(t, Config{MaxConcurrent: 2})
 		in := faultify.NewInjector(p, seed+uint64(i))
 		ts := httptest.NewServer(in.Middleware(s.Handler()))
 		t.Cleanup(func() { ts.Close(); s.Close() })
@@ -38,7 +37,7 @@ func chaosWorkers(t *testing.T, n int, plan string, seed uint64) []string {
 // handshake) hangs until the client gives up — a daemon that wedged.
 func hangingWorker(t *testing.T) string {
 	t.Helper()
-	s := server.New(server.Config{MaxConcurrent: 2})
+	s := newLocal(t, Config{MaxConcurrent: 2})
 	in := faultify.NewInjector(faultify.Plan{Name: "always-hang", Hang: 1}, 1)
 	ts := httptest.NewServer(in.Middleware(s.Handler()))
 	t.Cleanup(func() { ts.Close(); s.Close() })

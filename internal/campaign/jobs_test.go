@@ -1,4 +1,4 @@
-package server
+package campaign
 
 import (
 	"bytes"
@@ -16,13 +16,29 @@ import (
 	"c3d/pkg/c3d/api"
 )
 
-// newTestServer starts a server over real HTTP and returns an api.Client for
-// it — the server e2e suite runs on the same public client every external
-// consumer uses, so the client is exercised against the real wire format on
-// every test run.
-func newTestServer(t *testing.T, cfg Config) (*Server, *api.Client) {
+// newLocal builds a worker node (no Workers: jobs run in-process).
+func newLocal(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
-	s := New(cfg)
+	s, err := New(t.Context(), cfg)
+	if err != nil {
+		t.Fatalf("worker node: %v", err)
+	}
+	return s
+}
+
+func (c *Coordinator) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// newTestServer starts a worker node over real HTTP and returns an
+// api.Client for it — the worker e2e suite runs on the same public client
+// every external consumer uses, so the client is exercised against the real
+// wire format on every test run.
+func newTestServer(t *testing.T, cfg Config) (*Coordinator, *api.Client) {
+	t.Helper()
+	s := newLocal(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -333,11 +349,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation checks malformed specs are rejected at the door with
+// TestJobSubmitValidation checks malformed specs are rejected at the door with
 // the uniform error envelope and the invalid_spec code. Raw HTTP is used on
 // purpose: these bodies are exactly what a hand-rolling client would send.
-func TestSubmitValidation(t *testing.T) {
-	s := New(Config{})
+func TestJobSubmitValidation(t *testing.T) {
+	s := newLocal(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	cl := api.NewClient(ts.URL)
@@ -429,7 +445,7 @@ func TestListPaginationAndRetention(t *testing.T) {
 // TestQueueBound checks submissions beyond the queue depth are rejected with
 // 503 rather than queued unboundedly.
 func TestQueueBound(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, QueueDepth: 1})
+	s := newLocal(t, Config{MaxConcurrent: 1, QueueDepth: 1})
 	defer s.Close()
 	// Fill the single queue slot without letting the worker drain it: the
 	// worker takes one job, a second occupies the queue, the third must
@@ -439,30 +455,30 @@ func TestQueueBound(t *testing.T) {
 		Experiments: []string{"all"},
 		Params:      api.Params{Quick: true, Accesses: 60_000},
 	}
-	if _, err := s.submit(long); err != nil {
+	if _, err := s.submitJob(long); err != nil {
 		t.Fatal(err)
 	}
 	// Give the worker a moment to claim the first job.
 	time.Sleep(100 * time.Millisecond)
-	if _, err := s.submit(long); err != nil {
+	if _, err := s.submitJob(long); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.submit(long); err == nil {
+	if _, err := s.submitJob(long); err == nil {
 		t.Fatal("third submission should have been rejected (queue full)")
 	} else if !strings.Contains(err.Error(), "queue full") {
 		t.Fatalf("unexpected rejection error: %v", err)
 	}
 	// Cancel everything so Close doesn't wait for the long jobs.
-	for _, st := range s.statuses() {
-		j, _ := s.job(st.ID)
-		j.requestCancel()
+	for _, st := range s.jobPage(0, maxListLimit).Jobs {
+		j, _ := find(s, &s.jobs, "job", st.ID)
+		j.requestCancel(context.Canceled)
 	}
 }
 
 // TestQueueFullEnvelope checks the HTTP layer reports a full queue with the
 // queue_full code so clients can back off programmatically.
 func TestQueueFullEnvelope(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, QueueDepth: 1})
+	s := newLocal(t, Config{MaxConcurrent: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	// No retries: the client must surface the 503 envelope, not retry it
@@ -574,5 +590,74 @@ func TestDrainDeadlineFallsBackToCancel(t *testing.T) {
 	}
 	if !api.Terminal(st.State) {
 		t.Errorf("job still %s after fallback cancel", st.State)
+	}
+}
+
+// TestCancelledQueuedJobFreesQueueSlot is the queue-bound regression test: a
+// job cancelled while queued must release its queue slot at once, so the
+// next submission is admitted rather than bounced with queue_full.
+func TestCancelledQueuedJobFreesQueueSlot(t *testing.T) {
+	s, cl := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	cl = api.NewClient(cl.BaseURL(), api.WithRetries(0))
+	long := api.JobSpec{
+		Kind:        api.KindExperiment,
+		Experiments: []string{"all"},
+		Params:      api.Params{Quick: true, Accesses: 60_000},
+	}
+	running := submit(t, cl, long)
+	waitState(t, cl, running, api.StateRunning)
+	queued := submit(t, cl, long)
+	if _, err := cl.Cancel(t.Context(), queued); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Health()
+	if h.Queued != 0 || h.Running != 1 || h.Finished != 1 {
+		t.Fatalf("counts after cancelling the queued job = queued %d running %d finished %d, want 0/1/1",
+			h.Queued, h.Running, h.Finished)
+	}
+	next, err := cl.Submit(t.Context(), long)
+	if err != nil {
+		t.Fatalf("submit after the queued job was cancelled: %v, want it admitted", err)
+	}
+	for _, id := range []string{next.ID, running} {
+		if _, err := cl.Cancel(t.Context(), id); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestHealthDocumentPerMode pins the shared /healthz handler: a worker
+// node's body carries only the scheduler counters, a coordinator's adds its
+// fleet and cache views.
+func TestHealthDocumentPerMode(t *testing.T) {
+	workers := startWorkers(t, 1)
+	_, fleetCl := newCoordinator(t, Config{Workers: workers})
+	for name, tc := range map[string]struct {
+		url  string
+		want bool
+	}{
+		"worker":      {workers[0], false},
+		"coordinator": {fleetCl.BaseURL(), true},
+	} {
+		resp, err := http.Get(tc.url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, key := range []string{"status", "version", "queued", "running", "finished"} {
+			if _, ok := doc[key]; !ok {
+				t.Errorf("%s /healthz lacks %q", name, key)
+			}
+		}
+		for _, key := range []string{"workers", "cache"} {
+			if _, ok := doc[key]; ok != tc.want {
+				t.Errorf("%s /healthz has %q = %v, want %v", name, key, ok, tc.want)
+			}
+		}
 	}
 }

@@ -126,18 +126,23 @@ func (j *journal) append(rec journalRecord) {
 	if j == nil {
 		return
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.writeLocked(rec)
+}
+
+// writeLocked appends one record unless the journal is closed. Callers hold
+// j.mu.
+func (j *journal) writeLocked(rec journalRecord) {
+	if j.closed {
+		return
+	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		j.logf("campaign: journal: encoding %s record: %v", rec.Type, err)
 		return
 	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
 		j.logf("campaign: journal: appending %s record: %v", rec.Type, err)
 		return
 	}
@@ -153,17 +158,11 @@ func (j *journal) close() {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return
+	j.writeLocked(journalRecord{Type: recStop})
+	if !j.closed {
+		j.closed = true
+		j.f.Close()
 	}
-	if line, err := json.Marshal(journalRecord{Type: recStop}); err == nil {
-		line = append(line, '\n')
-		if _, err := j.f.Write(line); err == nil {
-			j.f.Sync()
-		}
-	}
-	j.closed = true
-	j.f.Close()
 }
 
 // replayState is one campaign reassembled from journal records.

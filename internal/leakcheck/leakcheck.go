@@ -34,7 +34,7 @@ import (
 
 // modulePrefix attributes goroutines to this repo: every package path of
 // the module starts with it, and it appears in both the frame symbols
-// ("c3d/internal/server.(*scheduler).work") and "created by" lines.
+// ("c3d/internal/campaign.(*Coordinator).runSlot") and "created by" lines.
 const modulePrefix = "c3d/"
 
 // Main runs the package's tests, then fails the binary if module-owned

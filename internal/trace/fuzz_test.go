@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -11,23 +13,26 @@ import (
 //
 //  1. Neither Decode nor OpenSource panics or attempts input-proportional-
 //     plus allocations on hostile input (the caps turn lies into errors);
-//  2. anything Decode accepts survives an encode/decode round trip exactly;
+//  2. anything Decode accepts, in either format, survives a v2 encode/decode
+//     round trip exactly;
 //  3. on chunked (v2) input, the sequential decoder and the indexed file
 //     source agree record for record.
 func FuzzDecode(f *testing.F) {
 	// Seeds stay small (the multi-chunk seed barely crosses one chunk
 	// boundary) so the fuzzing engine gets a high exec rate; the large-trace
 	// paths are covered by the deterministic tests.
-	var v1, v2 bytes.Buffer
-	if err := sampleTrace().Encode(&v1); err != nil {
+	// Only version 2 is written, so the v1 seed is the committed fixture.
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.c3dt"))
+	if err != nil {
 		f.Fatal(err)
 	}
+	var v2 bytes.Buffer
 	if err := EncodeSource(&v2, chunkyTrace(chunkRecords+5).Source()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	f.Add(v1)
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:v1.Len()/2])
+	f.Add(v1[:len(v1)/2])
 	f.Add(v2.Bytes()[:v2.Len()/3])
 	f.Add([]byte("C3DT"))
 	f.Add([]byte{})
@@ -36,7 +41,7 @@ func FuzzDecode(f *testing.F) {
 		tr, err := Decode(bytes.NewReader(data))
 		if err == nil {
 			var buf bytes.Buffer
-			if err := tr.Encode(&buf); err != nil {
+			if err := EncodeSource(&buf, tr.Source()); err != nil {
 				t.Fatalf("re-encoding a decoded trace: %v", err)
 			}
 			tr2, err := Decode(&buf)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,11 +123,11 @@ func TestOpenSourceRoundTrip(t *testing.T) {
 }
 
 func TestOpenSourceLegacyVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden-v1.c3dt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenSource(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	_, err = OpenSource(bytes.NewReader(data), int64(len(data)))
 	if !errors.Is(err, ErrLegacyVersion) {
 		t.Errorf("OpenSource of a v1 file returned %v, want ErrLegacyVersion", err)
 	}

@@ -115,7 +115,7 @@ func TestKindString(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -138,7 +138,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Truncated stream.
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
@@ -161,7 +161,7 @@ func TestEncodeDecodeLargeRandomTrace(t *testing.T) {
 		tr.Parallel[i] = recs
 	}
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -190,7 +190,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		tr := &Trace{Name: name, Parallel: [][]Record{recs}}
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := EncodeSource(&buf, tr.Source()); err != nil {
 			return false
 		}
 		got, err := Decode(&buf)

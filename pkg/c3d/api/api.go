@@ -4,11 +4,11 @@
 // capability documents and campaign shapes — plus a Go Client that speaks
 // them.
 //
-// These types were promoted out of internal/server so that servers and
-// clients share one declaration instead of hand-rolling JSON: the daemon
-// (internal/server), the campaign coordinator (internal/campaign), the SDK
-// (pkg/c3d, whose Params is a defined type over api.Params) and external
-// programs all import this package. The JSON field names are frozen — a
+// These types live in a public package so that servers and clients share
+// one declaration instead of hand-rolling JSON: the job engine behind both
+// c3dd modes (internal/campaign), the SDK (pkg/c3d, whose Params is a
+// defined type over api.Params) and external programs all import this
+// package. The JSON field names are frozen — a
 // compat test pins every one — so changing a tag here is a wire-format break
 // and must be treated as such.
 //

@@ -8,9 +8,10 @@ import (
 
 // CurrentCapabilities reports what this build of the simulator can run —
 // registered designs, fabric topologies, experiments and workloads, plus the
-// build version — in the wire shape served by GET /v1/capabilities. The
-// daemon and the campaign coordinator both publish exactly this document,
-// and remote clients use it to validate job specs eagerly, the way the SDK's
+// build version — in the wire shape served by GET /v1/capabilities. A
+// worker c3dd publishes exactly this document, a coordinator its fleet's
+// shared copy of it (the job engine in internal/campaign serves both), and
+// remote clients use it to validate job specs eagerly, the way the SDK's
 // options validate locally.
 func CurrentCapabilities() api.Capabilities {
 	caps := api.Capabilities{Version: Version()}
@@ -37,8 +38,9 @@ func CurrentCapabilities() api.Capabilities {
 // submission endpoint does, so a queued job can only fail for run-time
 // reasons. Building (and discarding) the session runs the SDK's full option
 // validation — unknown workloads, out-of-range warm-up, unhostable
-// topology/socket shapes — not just the enumerated-field parse. The daemon
-// and the campaign coordinator share this one door check.
+// topology/socket shapes — not just the enumerated-field parse. Every job
+// passes this one door check on the worker that runs it, whether it was
+// submitted there directly or dispatched by a coordinator.
 func ValidateJobSpec(spec api.JobSpec) error {
 	sess, err := Params(spec.Params).Session()
 	if err != nil {

@@ -78,28 +78,6 @@ func workloadInfoFor(spec workload.Spec) WorkloadInfo {
 	}
 }
 
-// TraceFormat selects the on-disk trace format for TraceEncode.
-type TraceFormat int
-
-const (
-	// TraceV2 is the chunked, streamable format (the default).
-	TraceV2 TraceFormat = iota
-	// TraceV1 is the legacy flat format.
-	TraceV1
-)
-
-// ParseTraceFormat converts "v1"/"v2" into a TraceFormat.
-func ParseTraceFormat(s string) (TraceFormat, error) {
-	switch s {
-	case "v2":
-		return TraceV2, nil
-	case "v1":
-		return TraceV1, nil
-	default:
-		return 0, fmt.Errorf("c3d: unknown trace format %q (want v1 or v2)", s)
-	}
-}
-
 // TraceSource builds a streaming generator source for a workload under the
 // session options (threads, scale, accesses, seed): records are produced on
 // demand, so the source can drive paper-scale stream lengths at bounded
@@ -174,20 +152,11 @@ func OpenTrace(path string) (*TraceFile, error) {
 	}
 }
 
-// TraceEncode writes the source to w in the selected binary format.
-// Cancelling the context aborts the walk between records.
-func TraceEncode(ctx context.Context, w io.Writer, src TraceSource, format TraceFormat) error {
-	src = withContext(ctx, src)
-	switch format {
-	case TraceV1:
-		tr, err := trace.Materialize(src)
-		if err != nil {
-			return err
-		}
-		return tr.Encode(w)
-	default:
-		return trace.EncodeSource(w, src)
-	}
+// TraceEncode writes the source to w in the chunked, streamable binary
+// format at bounded memory. Cancelling the context aborts the walk between
+// records.
+func TraceEncode(ctx context.Context, w io.Writer, src TraceSource) error {
+	return trace.EncodeSource(w, withContext(ctx, src))
 }
 
 // ComputeTraceStats walks every stream of the source and summarises it.
