@@ -19,29 +19,45 @@ type sparseGoldenRun struct {
 // sparseGoldenRuns are the machine configurations the sparse-address golden
 // pins: the baseline, C3D, and C3D with the §IV-D broadcast filter (which
 // consults the page classifier on every write miss), under all three
-// placement policies, each at the default scale and at a scale and directory
-// provisioning small enough to force LLC evictions and directory recalls.
+// placement policies, then every other registered design under interleaved
+// placement (which spreads homes over all sockets, so coherence crosses the
+// fabric), and the shared design once more under FT2 (which homes the whole
+// trace at one socket, so that socket's directory slice overflows and its
+// recalls write dirty data back past the memory-side DRAM cache). Each runs
+// at the default scale and at a scale and directory provisioning small
+// enough to force LLC evictions and directory recalls.
 func sparseGoldenRuns() []sparseGoldenRun {
+	type goldenDesign struct {
+		name   string
+		design machine.Design
+		filter bool
+		policy numa.Policy
+	}
+	first := []goldenDesign{
+		{"baseline", machine.Baseline, false, numa.FirstTouch2},
+		{"c3d", machine.C3D, false, numa.Interleave},
+		{"c3d+filter", machine.C3D, true, numa.FirstTouch1},
+	}
+	var rest []goldenDesign
+	for _, d := range machine.Designs() {
+		if d != machine.Baseline && d != machine.C3D {
+			rest = append(rest, goldenDesign{string(d), d, false, numa.Interleave})
+		}
+	}
+	rest = append(rest, goldenDesign{"shared+FT2", machine.SharedDRAM, false, numa.FirstTouch2})
 	var runs []sparseGoldenRun
-	for _, scale := range []int{64, 4096} {
-		for _, d := range []struct {
-			name   string
-			design machine.Design
-			filter bool
-			policy numa.Policy
-		}{
-			{"baseline", machine.Baseline, false, numa.FirstTouch2},
-			{"c3d", machine.C3D, false, numa.Interleave},
-			{"c3d+filter", machine.C3D, true, numa.FirstTouch1},
-		} {
-			cfg := machine.DefaultConfig(4, d.design)
-			cfg.Scale = scale
-			cfg.MemPolicy = d.policy
-			cfg.EnableBroadcastFilter = d.filter
-			if scale > 64 {
-				cfg.DirProvisioning = 0.25
+	for _, designs := range [][]goldenDesign{first, rest} {
+		for _, scale := range []int{64, 4096} {
+			for _, d := range designs {
+				cfg := machine.DefaultConfig(4, d.design)
+				cfg.Scale = scale
+				cfg.MemPolicy = d.policy
+				cfg.EnableBroadcastFilter = d.filter
+				if scale > 64 {
+					cfg.DirProvisioning = 0.25
+				}
+				runs = append(runs, sparseGoldenRun{d.name + "@" + strconv.Itoa(scale), cfg})
 			}
-			runs = append(runs, sparseGoldenRun{d.name + "@" + strconv.Itoa(scale), cfg})
 		}
 	}
 	return runs
