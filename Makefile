@@ -16,7 +16,7 @@ LDFLAGS := -X c3d/pkg/c3d.buildVersion=$(VERSION) \
            -X c3d/pkg/c3d.buildCommit=$(GIT_SHA) \
            -X c3d/pkg/c3d.buildDate=$(BUILD_DATE)
 
-.PHONY: all build binaries test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke perfbench-test ci
+.PHONY: all build binaries test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke perfbench-test examples ci
 
 all: build
 
@@ -233,4 +233,14 @@ perfbench-test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-ci: lint build race perfbench-test bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke
+# Run every self-contained example end to end (about two seconds warm); any
+# non-zero exit fails the target. examples/campaign needs a running fleet, so
+# fleet-smoke covers that path instead.
+EXAMPLES := quickstart design-space numa-bottleneck protocol-verify sdk
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e >/dev/null || exit 1; \
+	done
+
+ci: lint build race perfbench-test examples bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke

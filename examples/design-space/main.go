@@ -13,8 +13,7 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"c3d/internal/machine"
-	"c3d/internal/workload"
+	"c3d/pkg/c3d"
 )
 
 func main() {
@@ -22,35 +21,30 @@ func main() {
 	if len(os.Args) > 1 {
 		name = os.Args[1]
 	}
-	spec, err := workload.Get(name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 10_000}
-	trace, err := workload.Generate(spec, opts)
+	sess, err := c3d.New(
+		c3d.WithThreads(8),
+		c3d.WithScale(512),
+		c3d.WithAccesses(10_000),
+		c3d.WithCoresPerSocket(2),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	designs := []machine.Design{
-		machine.Baseline, machine.SharedDRAM, machine.Snoopy,
-		machine.FullDir, machine.C3D, machine.C3DFullDir,
+	designs := []c3d.Design{
+		c3d.Baseline, c3d.SharedDRAM, c3d.Snoopy,
+		c3d.FullDir, c3d.C3D, c3d.C3DFullDir,
 	}
-	results := make(map[machine.Design]machine.RunResult, len(designs))
+	results := make(map[c3d.Design]c3d.RunResult, len(designs))
 	for _, d := range designs {
-		cfg := machine.DefaultConfig(4, d)
-		cfg.Scale = opts.Scale
-		cfg.CoresPerSocket = opts.Threads / cfg.Sockets
-		cfg.MemPolicy = spec.PreferredPolicy
-		m := machine.New(cfg)
-		res, err := m.Run(context.Background(), trace, machine.DefaultRunOptions())
+		res, err := sess.Simulate(context.Background(), name, c3d.WithDesign(d))
 		if err != nil {
 			log.Fatal(err)
 		}
-		results[d] = res
+		results[d] = res.RunResult
 	}
 
-	base := results[machine.Baseline]
+	base := results[c3d.Baseline]
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "design\tspeedup\tDRAM$ hit\tremote reads\tinter-socket bytes\tremote DRAM$ probes\tbroadcasts\n")
 	for _, d := range designs {

@@ -10,40 +10,38 @@ import (
 	"fmt"
 	"log"
 
-	"c3d/internal/machine"
-	"c3d/internal/workload"
+	"c3d/pkg/c3d"
 )
 
 func main() {
 	// A reduced-size run so the example finishes in seconds; drop the
 	// overrides for the paper-scale configuration.
-	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 10_000}
-	spec := workload.MustGet("streamcluster")
-	trace, err := workload.Generate(spec, opts)
+	sess, err := c3d.New(
+		c3d.WithThreads(8),
+		c3d.WithScale(512),
+		c3d.WithAccesses(10_000),
+		c3d.WithCoresPerSocket(2),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
+	const workload = "streamcluster"
 
-	run := func(design machine.Design) machine.RunResult {
-		cfg := machine.DefaultConfig(4, design)
-		cfg.Scale = opts.Scale
-		cfg.CoresPerSocket = opts.Threads / cfg.Sockets
-		cfg.MemPolicy = spec.PreferredPolicy
-		m := machine.New(cfg)
-		res, err := m.Run(context.Background(), trace, machine.DefaultRunOptions())
+	run := func(design c3d.Design) *c3d.SimulateResult {
+		res, err := sess.Simulate(context.Background(), workload, c3d.WithDesign(design))
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res
 	}
 
-	baseline := run(machine.Baseline)
-	c3d := run(machine.C3D)
+	baseline := run(c3d.Baseline)
+	c3dRes := run(c3d.C3D)
 
-	fmt.Printf("workload            %s (%d threads)\n", spec.Name, trace.Threads())
-	fmt.Printf("baseline            %s\n", baseline)
-	fmt.Printf("c3d                 %s\n", c3d)
-	fmt.Printf("speedup             %.2fx\n", c3d.SpeedupOver(baseline))
-	fmt.Printf("remote reads kept   %.0f%%\n", c3d.NormalizedRemoteMemReads(baseline)*100)
-	fmt.Printf("inter-socket bytes  %.0f%% of baseline\n", c3d.NormalizedInterSocketTraffic(baseline)*100)
+	fmt.Printf("workload            %s (%d threads)\n", workload, c3dRes.EffectiveThreads)
+	fmt.Printf("baseline            %s\n", baseline.RunResult)
+	fmt.Printf("c3d                 %s\n", c3dRes.RunResult)
+	fmt.Printf("speedup             %.2fx\n", c3dRes.SpeedupOver(baseline.RunResult))
+	fmt.Printf("remote reads kept   %.0f%%\n", c3dRes.NormalizedRemoteMemReads(baseline.RunResult)*100)
+	fmt.Printf("inter-socket bytes  %.0f%% of baseline\n", c3dRes.NormalizedInterSocketTraffic(baseline.RunResult)*100)
 }

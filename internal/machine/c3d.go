@@ -65,13 +65,6 @@ func init() {
 	})
 }
 
-func (e *c3dEngine) Name() string {
-	if e.m.cfg.Design == C3DFullDir {
-		return "c3d-full-dir"
-	}
-	return "c3d"
-}
-
 func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {
 	m := e.m
 	// Fast path: the local (clean) DRAM cache.
@@ -79,29 +72,20 @@ func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Bloc
 	if res.Hit {
 		return res.Done
 	}
-	t := res.Done
 	home := m.home(b)
-	t = dirRequestArrival(m, t, sock, home)
+	t := dirRequestArrival(m, res.Done, sock, home)
 
 	dec := home.c3dDir.HandleGetS(b, sock.id)
 	handleRecall(m, t, home, dec.Recall)
 	if dec.Source == core.FromOwnerLLC {
 		// The only possible Modified copies are on-chip (clean DRAM caches),
 		// so the forward always terminates at the owner's LLC — never at a
-		// remote DRAM cache.
-		owner := m.sockets[dec.Owner]
-		t = m.sendControl(t, home, owner)
-		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.downgradeOnChip(b)
-		// Keep memory up to date so the directory's Shared invariant holds
-		// (the write-back is off the requester's critical path).
-		wb := m.sendData(t, owner, home)
-		m.memWrite(wb, home, owner, b)
-		return m.sendData(t, owner, sock)
+		// remote DRAM cache. Its write-back keeps memory up to date, so the
+		// directory's Shared invariant holds.
+		return m.forwardToOwner(t, home, m.sockets[dec.Owner], sock, b, false)
 	}
 	// Memory supplies the data; remote DRAM caches are bypassed entirely.
-	t = m.memRead(t, home, sock, b)
-	return m.sendData(t, home, sock)
+	return m.homeReply(t, home, sock, b, false)
 }
 
 func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Block, upgrade bool) sim.Time {
@@ -109,69 +93,33 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 	// The local DRAM cache can supply the data (it is clean, so memory holds
 	// the same bytes); permission still comes from the home directory.
 	res := sock.dramCache.Access(now, b, true)
-	t := res.Done
 	home := m.home(b)
-	t = dirRequestArrival(m, t, sock, home)
+	t := dirRequestArrival(m, res.Done, sock, home)
 
 	pagePrivate := m.filter.PagePrivate(b, coreID)
 	dec := home.c3dDir.HandleGetX(b, sock.id, upgrade, pagePrivate)
 	handleRecall(m, t, home, dec.Recall)
 
-	var dataDone, acksDone sim.Time
-	acksDone = t
-
-	switch {
-	case dec.Source == core.FromOwnerLLC:
+	if dec.Source == core.FromOwnerLLC {
 		// Ownership transfer from the previous owner's on-chip hierarchy;
 		// its whole hierarchy (DRAM cache included) is invalidated.
 		owner := m.sockets[dec.Owner]
-		fwd := m.sendControl(t, home, owner)
-		fwd = fwd.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.invalidateOnChip(b)
+		done := m.forwardToOwner(t, home, owner, sock, b, true)
 		owner.dramCache.Invalidate(b)
-		dataDone = m.sendData(fwd, owner, sock)
-		acksDone = dataDone
-	case dec.Broadcast:
-		// Untracked block: invalidate every other socket's DRAM cache (and
-		// any on-chip Shared copies). The invalidations are acknowledged to
-		// the requester; stores are off the critical path, so the extra
-		// latency is usually hidden by the store queue (§IV-B).
-		for _, target := range m.sockets {
-			if target == sock {
-				continue
-			}
-			inv := m.sendControl(t, home, target)
-			target.invalidateOnChip(b)
-			target.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, target, sock)
-			acksDone = sim.Max(acksDone, ack)
-		}
-		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
-	default:
-		// Tracked block (or an untracked block of a private page): precise
-		// invalidations to the recorded sharers, which may be none.
-		dec.Invalidate.ForEach(func(sidx int) {
-			target := m.sockets[sidx]
-			inv := m.sendControl(t, home, target)
-			target.invalidateOnChip(b)
-			target.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, target, sock)
-			acksDone = sim.Max(acksDone, ack)
-		})
-		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
+		return done
 	}
-	return sim.Max(dataDone, acksDone)
-}
-
-// writeData models the data (or dataless grant) leg of a write request.
-func (e *c3dEngine) writeData(now sim.Time, sock, home *Socket, b addr.Block, haveData bool) sim.Time {
-	m := e.m
-	if haveData {
-		return m.sendControl(now, home, sock)
+	// A tracked block (or an untracked block of a private page) gets precise
+	// invalidations to the recorded sharers, which may be none. An untracked
+	// block is broadcast to every other socket's DRAM cache (and any on-chip
+	// Shared copies). Either way the invalidations are acknowledged to the
+	// requester; stores are off the critical path, so the extra latency is
+	// usually hidden by the store queue (§IV-B).
+	targets := dec.Invalidate
+	if dec.Broadcast {
+		targets = m.everySocket.Others(sock.id)
 	}
-	return m.sendData(m.memRead(now, home, sock, b), home, sock)
+	acks := m.invalidateSharers(t, home, sock, targets, b, true)
+	return sim.Max(m.homeReply(t, home, sock, b, upgrade || res.Hit), acks)
 }
 
 func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {

@@ -4,7 +4,6 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
-	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -39,7 +38,22 @@ func init() {
 	})
 }
 
-func (e *fullDirEngine) Name() string { return "full-dir" }
+// reachOwner forwards a request from the home to owner, which the directory
+// records as holding block b Modified, and returns when the owner has the
+// data and whether it found it on-chip. The on-chip hierarchy is probed
+// first; if the dirty data has been evicted into the owner's DRAM cache, the
+// access pays the full remote-DRAM-cache latency — the slow-remote-hit
+// pathology (§III-B, Fig. 4).
+func (e *fullDirEngine) reachOwner(now sim.Time, home, owner *Socket, b addr.Block) (sim.Time, bool) {
+	m := e.m
+	t := m.sendControl(now, home, owner).Add(m.cfg.LLCTagLatency)
+	if state, chipDirty, onChip := owner.probeOnChip(b); onChip && (chipDirty || state == coherence.LineModified) {
+		return t.Add(m.cfg.LLCDataLatency), true
+	}
+	m.counters.remoteDRAMProbes++
+	_, _, done := owner.dramCache.Probe(t, b)
+	return done, false
+}
 
 func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {
 	m := e.m
@@ -53,32 +67,20 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 
 	entry, ok := home.dir.Lookup(b)
 	if ok && entry.State == coherence.DirModified && entry.Owner != sock.id {
-		// Dirty in a remote socket. Probe its on-chip hierarchy first; if the
-		// dirty data has been evicted into the remote DRAM cache, the access
-		// pays the full remote-DRAM-cache latency — the slow-remote-hit
-		// pathology (§III-B, Fig. 4).
 		owner := m.sockets[entry.Owner]
-		t = m.sendControl(t, home, owner)
-		t = t.Add(m.cfg.LLCTagLatency)
-		state, chipDirty, onChip := owner.probeOnChip(b)
-		if onChip && (chipDirty || state == coherence.LineModified) {
-			t = t.Add(m.cfg.LLCDataLatency)
+		var onChip bool
+		t, onChip = e.reachOwner(t, home, owner, b)
+		// Either way the data is written back (and the owner's DRAM-cache
+		// copy made clean) so memory is usable for later readers.
+		if onChip {
 			owner.downgradeOnChip(b)
-			// The downgraded data is written back so memory is usable for
-			// later readers.
-			wb := m.sendData(t, owner, home)
-			m.memWrite(wb, home, owner, b)
+			m.memWrite(m.sendData(t, owner, home), home, owner, b)
 			if line, okDC, _ := owner.dramCache.Probe(t, b); okDC && line.Dirty {
 				owner.dramCache.CleanBlock(b)
 			}
 		} else {
-			// The dirty block lives only in the owner's DRAM cache.
-			m.counters.remoteDRAMProbes++
-			_, _, probeDone := owner.dramCache.Probe(t, b)
-			t = probeDone
 			owner.dramCache.CleanBlock(b)
-			wb := m.sendData(t, owner, home)
-			m.memWrite(wb, home, owner, b)
+			m.memWrite(m.sendData(t, owner, home), home, owner, b)
 		}
 		t = m.sendData(t, owner, sock)
 		home.dir.Update(b, coherence.Entry{
@@ -89,8 +91,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	}
 	// Clean (Shared) or untracked: memory supplies the data without touching
 	// any remote DRAM cache.
-	t = m.memRead(t, home, sock, b)
-	t = m.sendData(t, home, sock)
+	t = m.homeReply(t, home, sock, b, false)
 	home.dir.Update(b, coherence.Entry{State: coherence.DirShared, Sharers: entry.Sharers.Add(sock.id)})
 	return t
 }
@@ -103,45 +104,20 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 	t = dirRequestArrival(m, t, sock, home)
 
 	entry, _ := home.dir.Lookup(b)
-	var dataDone, acksDone sim.Time
-
+	var done sim.Time
 	if entry.State == coherence.DirModified && entry.Owner != sock.id {
 		owner := m.sockets[entry.Owner]
-		fwd := m.sendControl(t, home, owner)
-		fwd = fwd.Add(m.cfg.LLCTagLatency)
-		state, chipDirty, onChip := owner.probeOnChip(b)
-		if onChip && (chipDirty || state == coherence.LineModified) {
-			fwd = fwd.Add(m.cfg.LLCDataLatency)
-		} else {
-			m.counters.remoteDRAMProbes++
-			_, _, probeDone := owner.dramCache.Probe(fwd, b)
-			fwd = probeDone
-		}
+		fwd, _ := e.reachOwner(t, home, owner, b)
 		owner.invalidateOnChip(b)
 		owner.dramCache.Invalidate(b)
-		dataDone = m.sendData(fwd, owner, sock)
-		acksDone = dataDone
+		done = m.sendData(fwd, owner, sock)
 	} else {
 		// Invalidate precisely the tracked sharers (their DRAM caches
 		// included); data comes from memory in parallel unless the requester
 		// already holds it.
-		acksDone = t
-		entry.Sharers.Others(sock.id).ForEach(func(sidx int) {
-			sharer := m.sockets[sidx]
-			inv := m.sendControl(t, home, sharer)
-			sharer.invalidateOnChip(b)
-			sharer.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, sharer, sock)
-			acksDone = sim.Max(acksDone, ack)
-		})
-		if upgrade || res.Hit {
-			dataDone = m.sendControl(t, home, sock)
-		} else {
-			dataDone = m.sendData(m.memRead(t, home, sock, b), home, sock)
-		}
+		acks := m.invalidateSharers(t, home, sock, entry.Sharers.Others(sock.id), b, true)
+		done = sim.Max(m.homeReply(t, home, sock, b, upgrade || res.Hit), acks)
 	}
-	done := sim.Max(dataDone, acksDone)
 	home.dir.Update(b, coherence.Entry{
 		State:   coherence.DirModified,
 		Owner:   sock.id,
@@ -155,32 +131,25 @@ func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim
 	// Same dirty-victim-cache behaviour as the snoopy design; the directory
 	// keeps tracking the socket (it already does, since the directory is
 	// inclusive of the DRAM cache).
-	action := core.DirtyLLCEviction(victim.State, victim.Dirty)
-	if !action.FillLocalDRAMCache {
+	dcVictim := m.evictToDirtyVictimCache(now, sock, victim)
+	if !dcVictim.Valid {
 		return
 	}
-	fill := sock.dramCache.Fill(now, victim.Block, victim.State, action.FillDirty)
-	if fill.Victim.Valid {
-		home := m.home(fill.Victim.Block)
-		if core.DRAMCacheEvictionNeedsWriteback(false, fill.Victim.Dirty) {
-			wb := m.sendData(now, sock, home)
-			m.memWrite(wb, home, sock, fill.Victim.Block)
-		}
-		// Tell the (unbounded) directory this socket no longer caches the
-		// victim, so later writes do not invalidate it needlessly.
-		if entry, ok := home.dir.Probe(fill.Victim.Block); ok {
-			if !sock.llc.Contains(fill.Victim.Block) {
-				entry.Sharers = entry.Sharers.Remove(sock.id)
-				if entry.State == coherence.DirModified && entry.Owner == sock.id {
-					entry.State = coherence.DirShared
-				}
-				if entry.Sharers.Empty() {
-					home.dir.Remove(fill.Victim.Block)
-				} else {
-					home.dir.Update(fill.Victim.Block, entry)
-				}
-				m.sendControl(now, sock, home)
-			}
-		}
+	// Tell the (unbounded) directory this socket no longer caches the
+	// victim, so later writes do not invalidate it needlessly.
+	home := m.home(dcVictim.Block)
+	entry, ok := home.dir.Probe(dcVictim.Block)
+	if !ok || sock.llc.Contains(dcVictim.Block) {
+		return
 	}
+	entry.Sharers = entry.Sharers.Remove(sock.id)
+	if entry.State == coherence.DirModified && entry.Owner == sock.id {
+		entry.State = coherence.DirShared
+	}
+	if entry.Sharers.Empty() {
+		home.dir.Remove(dcVictim.Block)
+	} else {
+		home.dir.Update(dcVictim.Block, entry)
+	}
+	m.sendControl(now, sock, home)
 }

@@ -7,6 +7,7 @@ import (
 
 	"c3d/internal/addr"
 	"c3d/internal/cache"
+	"c3d/internal/coherence"
 	"c3d/internal/sample"
 	"c3d/internal/workload"
 )
@@ -136,5 +137,19 @@ func TestCheckInvariantsDetectsInclusionViolations(t *testing.T) {
 	line.Presence = 0
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "presence bits") {
 		t.Errorf("L1 line missing from the presence bits: got %v", err)
+	}
+}
+
+// CheckInvariants must notice a memory-side DRAM cache holding a block homed
+// at another socket.
+func TestCheckInvariantsDetectsForeignHomedBlocks(t *testing.T) {
+	m := New(testConfig(SharedDRAM))
+	m.Read(0, 0, addrHomedAt(0, 0))
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("clean machine: %v", err)
+	}
+	m.sockets[0].dramCache.Fill(0, addr.BlockOf(addrHomedAt(1, 0)), coherence.LineShared, false)
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "homed at socket 1") {
+		t.Errorf("socket 0 caching a block homed at socket 1: got %v", err)
 	}
 }

@@ -49,6 +49,12 @@ type Machine struct {
 	filter     *core.BroadcastFilter
 
 	engine Engine
+	// memSide marks a design whose DRAM caches are memory-side: each fronts
+	// its own socket's memory and holds only blocks homed there (§II-C).
+	// homeRead, homeWrite and functional warming route through it.
+	memSide bool
+	// everySocket is the set of all sockets, the target of a broadcast.
+	everySocket coherence.SharerSet
 
 	counters accessCounters
 }
@@ -63,9 +69,10 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	spec := mustDesignSpec(cfg.Design)
-	m := &Machine{cfg: cfg}
+	m := &Machine{cfg: cfg, memSide: cfg.Design.HasDRAMCache() && !cfg.Design.HasPrivateDRAMCache()}
 	for s := 0; s < cfg.Sockets; s++ {
 		m.sockets = append(m.sockets, newSocket(s, cfg, spec))
+		m.everySocket = m.everySocket.Add(s)
 	}
 	icCfg, err := cfg.fabricConfig()
 	if err != nil {
@@ -121,9 +128,6 @@ func (m *Machine) PageTable() *numa.PageTable { return m.pageTable }
 
 // Classifier returns the OS page classifier used by the §IV-D filter.
 func (m *Machine) Classifier() *tlb.Classifier { return m.classifier }
-
-// EngineName returns the name of the active coherence engine.
-func (m *Machine) EngineName() string { return m.engine.Name() }
 
 // socketOf returns the socket owning the given global core id.
 func (m *Machine) socketOf(coreID int) *Socket {
@@ -268,7 +272,7 @@ func (m *Machine) sendData(now sim.Time, from, to *Socket) sim.Time {
 }
 
 // memRead reads the block from its home memory and accounts whether the
-// requester was remote.
+// requester was remote. Engines read through homeRead.
 func (m *Machine) memRead(now sim.Time, homeSock *Socket, requester *Socket, b addr.Block) sim.Time {
 	m.counters.memReads++
 	if homeSock != requester {
@@ -397,7 +401,10 @@ func (m *Machine) resetStats() {
 //     name that L1 (the back-invalidation sweeps visit only the L1s those
 //     bits name, so a missing bit would leave a stale copy behind);
 //   - the clean property: a C3D machine must never hold a dirty block in any
-//     DRAM cache.
+//     DRAM cache;
+//   - homing: a memory-side DRAM cache holds only blocks homed at its own
+//     socket (scanned only under memory-side designs, so no other design
+//     pays for it).
 func (m *Machine) CheckInvariants() error {
 	for _, s := range m.sockets {
 		if err := s.checkInclusion(); err != nil {
@@ -409,8 +416,26 @@ func (m *Machine) CheckInvariants() error {
 		if m.cfg.Design.CleanDRAMCache() && s.dramCache.HasDirtyBlocks() {
 			return fmt.Errorf("machine: socket %d DRAM cache holds dirty blocks under the clean policy", s.id)
 		}
+		if m.memSide {
+			if err := m.checkHoming(s); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// checkHoming reports the first block in socket s's memory-side DRAM cache
+// that is homed at another socket.
+func (m *Machine) checkHoming(s *Socket) error {
+	var err error
+	s.dramCache.ForEach(func(l cache.Line) {
+		if home := m.home(l.Block); err == nil && home != s {
+			err = fmt.Errorf("machine: socket %d memory-side DRAM cache holds block %#x homed at socket %d",
+				s.id, uint64(l.Block), home.id)
+		}
+	})
+	return err
 }
 
 // workloadOptions returns the workload generation options matching this

@@ -19,9 +19,8 @@ import (
 //
 // Engines are built by the DesignSpec factory registered for the machine's
 // design; they typically hold the *Machine and use its shared helpers
-// (sendControl, memRead, ...).
+// (sendControl, homeReply, forwardToOwner, ...).
 type Engine interface {
-	Name() string
 	ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time
 	WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Block, upgrade bool) sim.Time
 	LLCEvict(now sim.Time, sock *Socket, victim cache.Victim)
@@ -53,6 +52,11 @@ type SocketDirectories struct {
 //		})
 //	}
 //
+// where myEngine implements Engine's ReadMiss, WriteMiss and LLCEvict. A
+// design is a protocol engine plus its DRAM-cache traits: the shared
+// (memory-side) design, for one, registers the baseline's engine with
+// HasDRAMCache set and PrivateDRAMCache clear.
+//
 // Nothing else changes: ParseDesign accepts the new name, Designs() lists it,
 // machine construction routes to the factories, and the SDK / CLIs / daemon
 // all reach it through the same registry.
@@ -69,7 +73,10 @@ type DesignSpec struct {
 	// HasDRAMCache gives each socket a DRAM cache.
 	HasDRAMCache bool
 	// PrivateDRAMCache marks the DRAM caches private per socket (needing
-	// coherence) rather than memory-side.
+	// coherence) rather than memory-side. A memory-side cache fronts its
+	// socket's memory: the machine routes home-memory reads and write-backs
+	// through it (homeRead, homeWrite), and functional warming fills it at
+	// each block's home.
 	PrivateDRAMCache bool
 	// CleanDRAMCache keeps the DRAM caches clean (write-through) — C3D's
 	// defining property; it selects the dramcache write policy.

@@ -69,7 +69,7 @@ type ffCore struct {
 	sock *Socket
 	l1   *cache.Cache
 	bit  cache.Presence   // this core's bit in its socket's LLC presence sets
-	dc   *dramcache.Cache // nil for designs without a DRAM cache
+	dc   *dramcache.Cache // the socket's private DRAM cache; nil for the other designs
 	// pageMemo holds page+1 (so the zero value misses) in a direct-mapped
 	// table; collisions just repeat a harmless classifier no-op.
 	pageMemo [ffPageMemoSize]uint64
@@ -82,7 +82,7 @@ type ffCore struct {
 
 // touch is the functional-warming path used during fast-forward stretches: it
 // updates the cheap architectural state a detailed phase depends on — page
-// classifier, L1/LLC tags and the DRAM cache's victim contents — without
+// classifier, L1/LLC tags and the DRAM caches' contents — without
 // producing any coherence or fabric events and without advancing any counter
 // that reaches the measured results. Blocks are installed clean/shared and victims are dropped
 // silently; the coherence engines tolerate the resulting stale directory
@@ -126,18 +126,35 @@ func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 	if _, hit := ff.l1.Touch(b, coherence.LineShared, 0); hit {
 		return
 	}
-	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared, ff.bit); !hit && victim.Valid {
-		// Keep the hierarchy inclusive; the write-back (if the victim was
-		// dirty) is only a statistic, and fast-forward produces none. The
-		// sweep visits only the L1s the victim's presence bits name.
-		ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
-		// Every design with a DRAM cache runs it as an LLC victim cache, so
-		// fast-forwarded evictions must land there too — a cold DRAM cache
-		// is the single largest warming bias (every measured-window miss
-		// would pay the memory path a full run's warm giga-cache absorbs).
-		if ff.dc != nil {
-			ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
+	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared, ff.bit); !hit {
+		if victim.Valid {
+			// Keep the hierarchy inclusive; the write-back (if the victim
+			// was dirty) is only a statistic, and fast-forward produces
+			// none. The sweep visits only the L1s the victim's presence bits
+			// name.
+			ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
+			// A private DRAM cache is an LLC victim cache, so fast-forwarded
+			// evictions must land there too — a cold DRAM cache is the
+			// single largest warming bias (every measured-window miss would
+			// pay the memory path a full run's warm giga-cache absorbs).
+			if ff.dc != nil {
+				ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
+			}
 		}
+		if m.memSide {
+			m.warmHomeDRAMCaches(b, victim)
+		}
+	}
+}
+
+// warmHomeDRAMCaches warms memory-side DRAM caches for a fast-forwarded LLC
+// miss on block b that displaced victim, where the detailed engine fills
+// them (homeRead, homeWrite): b passes through its home's cache on the way
+// from memory, and a dirty victim is written back into its own home's cache.
+func (m *Machine) warmHomeDRAMCaches(b addr.Block, victim cache.Victim) {
+	m.home(b).dramCache.Warm(b, coherence.LineShared, false)
+	if victim.Valid && victim.Dirty {
+		m.home(victim.Block).dramCache.Warm(victim.Block, coherence.LineShared, true)
 	}
 }
 
@@ -172,14 +189,15 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 			// The hierarchy is inclusive, so this costs one LLC probe plus
 			// the L1s the LLC line's presence bits name.
 			other.invalidateOnChip(b)
-			// Detailed write misses invalidate remote DRAM caches in every
-			// DRAM-cache design (snoop invalidation, directory recall or
+			// Detailed write misses invalidate remote private DRAM caches
+			// in every such design (snoop invalidation, directory recall or
 			// broadcast); leaving stale remote copies would hand the snoopy
 			// design free remote hits a real run never sees. The DRAM cache
 			// is a victim cache — it can hold lines the LLC no longer does —
 			// so it is checked unconditionally (direct-mapped: a one-line
-			// scan).
-			if other.dramCache != nil {
+			// scan). A memory-side cache holds memory's copy and is never
+			// invalidated; ff.dc is set exactly when the caches are private.
+			if ff.dc != nil {
 				other.dramCache.WarmInvalidate(b)
 			}
 		}
@@ -188,10 +206,15 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 	if ff.dc != nil {
 		ff.dc.WarmWrite(b)
 	}
-	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified, ff.bit); !hit && victim.Valid {
-		ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
-		if ff.dc != nil {
-			ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
+	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified, ff.bit); !hit {
+		if victim.Valid {
+			ff.sock.invalidateL1s(victim.Presence, -1, victim.Block)
+			if ff.dc != nil {
+				ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
+			}
+		}
+		if m.memSide {
+			m.warmHomeDRAMCaches(b, victim)
 		}
 	}
 }
@@ -361,7 +384,10 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	ffCores := make([]ffCore, len(cores))
 	for i, cr := range cores {
 		sock := m.socketOf(cr.idx)
-		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), bit: sock.presenceOf(cr.idx), dc: sock.dramCache}
+		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), bit: sock.presenceOf(cr.idx)}
+		if !m.memSide {
+			ffCores[i].dc = sock.dramCache
+		}
 	}
 
 	ffOne := func(cr *coreRunner, ffc *ffCore, target int) error {

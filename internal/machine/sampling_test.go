@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"c3d/internal/addr"
+	"c3d/internal/cache"
 	"c3d/internal/sample"
 	"c3d/internal/trace"
 	"c3d/internal/workload"
@@ -172,5 +173,45 @@ func TestWarmupSizedPerThreadOnSkewedTrace(t *testing.T) {
 	gotLong := res.PerCore[1].Loads + res.PerCore[1].Stores
 	if wantLong := uint64(long - long/4); gotLong != wantLong {
 		t.Errorf("long thread measured %d accesses, want %d", gotLong, wantLong)
+	}
+}
+
+// A memory-side DRAM cache fronts its own socket's memory, so it may hold
+// only blocks homed at that socket — after a detailed run and after a
+// sampled one alike. Functional warming once filled the requester's cache
+// instead of the home's, leaving most sampled lines homed elsewhere. The
+// count below is taken independently of CheckInvariants, so the test also
+// catches a check that goes missing.
+func TestMemorySideDRAMCacheHoldsOnlyHomedBlocks(t *testing.T) {
+	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 4000}
+	tr := workload.MustGenerate(workload.MustGet("streamcluster"), opts)
+	cfg := DefaultConfig(4, SharedDRAM)
+	cfg.Scale = 512
+	cfg.CoresPerSocket = 2
+	spec := sample.Spec{Stretch: 700, Warm: 60, Window: 60}
+	for _, run := range []struct {
+		name string
+		opts RunOptions
+	}{{"detailed", DefaultRunOptions()}, {"sampled", sampledOpts(spec)}} {
+		m := New(cfg)
+		if _, err := m.Run(context.Background(), tr, run.opts); err != nil {
+			t.Fatalf("%s run: %v", run.name, err)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Errorf("%s run: %v", run.name, err)
+		}
+		for _, s := range m.sockets {
+			lines, foreign := 0, 0
+			s.dramCache.ForEach(func(l cache.Line) {
+				lines++
+				if m.home(l.Block) != s {
+					foreign++
+				}
+			})
+			if lines == 0 || foreign != 0 {
+				t.Errorf("%s run: socket %d DRAM cache holds %d of %d lines homed elsewhere",
+					run.name, s.id, foreign, lines)
+			}
+		}
 	}
 }

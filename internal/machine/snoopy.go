@@ -4,7 +4,6 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
-	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -29,8 +28,6 @@ func init() {
 		NewDirectories:   SparseGenericDirectory,
 	})
 }
-
-func (e *snoopyEngine) Name() string { return "snoopy" }
 
 // probeSocket models a snoop arriving at a remote socket: the socket checks
 // its on-chip hierarchy and its DRAM cache (both must be consulted because
@@ -70,6 +67,21 @@ func (e *snoopyEngine) probeSocket(now sim.Time, requester, target *Socket, b ad
 	return resp, dirty, present
 }
 
+// snoopOthers sends a snoop to every other socket (probeSocket) and returns
+// when the slowest response arrives and whether any socket held the block
+// dirty.
+func (e *snoopyEngine) snoopOthers(now sim.Time, sock *Socket, b addr.Block, invalidate bool) (slowest sim.Time, dirtyFound bool) {
+	for _, target := range e.m.sockets {
+		if target == sock {
+			continue
+		}
+		resp, dirty, _ := e.probeSocket(now, sock, target, b, invalidate)
+		slowest = sim.Max(slowest, resp)
+		dirtyFound = dirtyFound || dirty
+	}
+	return slowest, dirtyFound
+}
+
 func (e *snoopyEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {
 	m := e.m
 	// Local DRAM cache first.
@@ -84,17 +96,8 @@ func (e *snoopyEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.B
 	// block from its home memory. The requester must wait for every snoop
 	// response before it can use the memory data (a dirty copy may exist
 	// anywhere), so the slowest responder bounds the completion time.
-	var slowest sim.Time
-	dirtyFound := false
-	for _, target := range m.sockets {
-		if target == sock {
-			continue
-		}
-		resp, dirty, _ := e.probeSocket(t, sock, target, b, false)
-		slowest = sim.Max(slowest, resp)
-		dirtyFound = dirtyFound || dirty
-	}
-	memDone := m.sendData(m.memRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
+	slowest, dirtyFound := e.snoopOthers(t, sock, b, false)
+	memDone := m.homeReply(dirRequestArrival(m, t, sock, home), home, sock, b, false)
 	if dirtyFound {
 		// The dirty owner supplied the data; memory's (stale) response is
 		// discarded but its latency was overlapped with the snoops.
@@ -109,42 +112,17 @@ func (e *snoopyEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	// reach every other socket.
 	res := sock.dramCache.Access(now, b, true)
 	t := res.Done
-	if !res.Hit {
-		t = res.Done
-	}
 	home := m.home(b)
 
-	var slowest sim.Time
-	dirtyFound := false
-	for _, target := range m.sockets {
-		if target == sock {
-			continue
-		}
-		resp, dirty, _ := e.probeSocket(t, sock, target, b, true)
-		slowest = sim.Max(slowest, resp)
-		dirtyFound = dirtyFound || dirty
-	}
-	haveLocalData := upgrade || res.Hit
-	if dirtyFound || haveLocalData {
+	slowest, dirtyFound := e.snoopOthers(t, sock, b, true)
+	if dirtyFound || upgrade || res.Hit {
 		return sim.Max(slowest, t)
 	}
-	memDone := m.sendData(m.memRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
+	memDone := m.homeReply(dirRequestArrival(m, t, sock, home), home, sock, b, false)
 	return sim.Max(slowest, memDone)
 }
 
+// LLCEvict is the dirty-victim-cache organisation of §III.
 func (e *snoopyEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
-	m := e.m
-	// Dirty-victim-cache organisation (§III): the DRAM cache absorbs the
-	// victim, dirty or clean; memory is written only when the DRAM cache
-	// itself evicts a dirty block.
-	action := core.DirtyLLCEviction(victim.State, victim.Dirty)
-	if !action.FillLocalDRAMCache {
-		return
-	}
-	fill := sock.dramCache.Fill(now, victim.Block, victim.State, action.FillDirty)
-	if fill.Victim.Valid && core.DRAMCacheEvictionNeedsWriteback(false, fill.Victim.Dirty) {
-		home := m.home(fill.Victim.Block)
-		wb := m.sendData(now, sock, home)
-		m.memWrite(wb, home, sock, fill.Victim.Block)
-	}
+	e.m.evictToDirtyVictimCache(now, sock, victim)
 }
