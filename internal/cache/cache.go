@@ -1,6 +1,7 @@
-// Package cache implements the set-associative cache model shared by every
-// level of the simulated hierarchy: the per-core L1s, the per-socket LLC, and
-// the tag array of the DRAM cache (which is simply a direct-mapped instance).
+// Package cache implements the set-associative cache model of the on-chip
+// levels of the simulated hierarchy: the per-core L1s and the per-socket LLC.
+// The direct-mapped DRAM cache keeps its own packed tag array (see
+// internal/dramcache) but speaks this package's State, Line and Victim.
 //
 // The cache stores tags and per-line metadata only — the simulator is
 // trace-driven and never materialises data values. Each line carries a small
@@ -420,8 +421,8 @@ func (c *Cache) SetState(b addr.Block, st State) bool {
 }
 
 // CleanBlock clears the dirty bit of block b if present and reports whether
-// the block was found. It is used by the clean (write-through) DRAM cache
-// policy and when an LLC write-back leaves a clean copy behind.
+// the block was found. It is used when a write-back leaves a clean copy
+// behind.
 func (c *Cache) CleanBlock(b addr.Block) bool {
 	set := c.set(b)
 	for i := range set {

@@ -13,6 +13,23 @@
 //     full-directory designs of §III, where the DRAM cache absorbs dirty LLC
 //     evictions and writes them back to memory only on eviction.
 //
+// The tag array is packed: one uint64 word per line, laid out (low bit
+// first) as
+//
+//	bit 0      valid
+//	bit 1      dirty
+//	bits 2-3   coherence state (internal/coherence's line states)
+//	bits 4-63  tag, the block number shifted right by the set-index bits
+//
+// so every tag operation is one load and at most one store of that word, and
+// an empty line is the zero word. The cache is direct-mapped, so it needs no
+// replacement state, and its lines are randomly addressed across a
+// gigabyte-scale array: the host's cache misses on nearly every probe, and a
+// word of metadata per line (rather than the generic cache.Line's 16 bytes of
+// LRU stamp and presence bits) halves both that traffic and the memory the
+// array occupies. Block numbers up to 2^60-1 are represented exactly, well
+// beyond the largest block addr.BlockOf returns.
+//
 // The package provides tag-array bookkeeping and per-access timing; which
 // messages cross sockets as a consequence of hits, misses and evictions is
 // the protocol engines' business (internal/machine, internal/core).
@@ -20,6 +37,7 @@ package dramcache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"c3d/internal/addr"
 	"c3d/internal/cache"
@@ -53,11 +71,9 @@ func (p Policy) String() string {
 type Config struct {
 	// Name identifies the cache in stats output, e.g. "dram$0".
 	Name string
-	// SizeBytes is the data capacity (1 GB per socket in Table II).
+	// SizeBytes is the data capacity (1 GB per socket in Table II). It must
+	// hold a power-of-two number of blocks.
 	SizeBytes uint64
-	// Ways is the associativity; the paper uses a direct-mapped organisation
-	// (1 way).
-	Ways int
 	// AccessLatency is the latency of one DRAM cache access (tags are stored
 	// in DRAM alongside data, so hit and miss detection cost the same).
 	// Table II models 40 ns, i.e. 20% faster than the 50 ns main memory.
@@ -80,7 +96,6 @@ func DefaultConfig(name string, sizeBytes uint64, policy Policy) Config {
 	return Config{
 		Name:                name,
 		SizeBytes:           sizeBytes,
-		Ways:                1,
 		AccessLatency:       sim.NsToCycles(40),
 		Channels:            8,
 		ChannelBandwidthGBs: 12.8,
@@ -134,6 +149,18 @@ type AccessResult struct {
 	Done sim.Time
 }
 
+// Tag-word layout; see the package comment.
+const (
+	validBit   = 1 << 0
+	dirtyBit   = 1 << 1
+	stateShift = 2
+	stateMask  = 3 << stateShift
+	tagShift   = 4
+	// metaMask covers the bits a hit leaves free to differ from the probe
+	// key: a line hits when word&^metaMask equals the key.
+	metaMask = dirtyBit | stateMask
+)
+
 // presentWords sizes the one-sided presence filter at 2048 words (128 Ki
 // bits, 16 KiB). The filter is deliberately not scaled with the cache: a
 // quick-scale cache stays far below saturation, and a huge cache merely
@@ -142,8 +169,12 @@ const presentWords = 2048
 
 // Cache is one socket's DRAM cache instance.
 type Cache struct {
-	cfg       Config
-	tags      *cache.Cache
+	cfg Config
+	// lines is the packed tag array, one word per line, indexed by the low
+	// setBits bits of the block number.
+	lines     []uint64
+	setBits   uint
+	setMask   uint64
 	predictor *MissPredictor
 	channels  []*sim.Resource
 	stats     Stats
@@ -175,18 +206,25 @@ func (c *Cache) mayContain(b addr.Block) bool {
 	return c.present[w]&bit != 0
 }
 
-// New builds a DRAM cache from cfg. It panics on invalid geometry.
+// New builds a DRAM cache from cfg. It panics on invalid geometry, because a
+// malformed configuration invalidates every result derived from it.
 func New(cfg Config) *Cache {
+	lineCount := cfg.SizeBytes / addr.BlockBytes
+	if lineCount == 0 || cfg.SizeBytes%addr.BlockBytes != 0 {
+		panic(fmt.Sprintf("dramcache %s: size %d is not a positive multiple of the %d-byte block",
+			cfg.Name, cfg.SizeBytes, addr.BlockBytes))
+	}
+	if lineCount&(lineCount-1) != 0 {
+		panic(fmt.Sprintf("dramcache %s: %d lines is not a power of two", cfg.Name, lineCount))
+	}
 	if cfg.Channels <= 0 {
 		panic(fmt.Sprintf("dramcache %s: need at least one channel", cfg.Name))
 	}
 	c := &Cache{
-		cfg: cfg,
-		tags: cache.New(cache.Config{
-			Name:      cfg.Name,
-			SizeBytes: cfg.SizeBytes,
-			Ways:      cfg.Ways,
-		}),
+		cfg:     cfg,
+		lines:   make([]uint64, lineCount),
+		setBits: uint(bits.TrailingZeros64(lineCount)),
+		setMask: lineCount - 1,
 	}
 	if cfg.PredictorEntries > 0 {
 		c.predictor = NewMissPredictor(cfg.PredictorEntries)
@@ -199,17 +237,44 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
+// slot returns block b's line index and the word a valid, clean, stateless
+// copy of b would hold there: a line holds b when line&^metaMask == key.
+func (c *Cache) slot(b addr.Block) (i int, key uint64) {
+	return int(uint64(b) & c.setMask), uint64(b)>>c.setBits<<tagShift | validBit
+}
 
-// Policy returns the write policy.
-func (c *Cache) Policy() Policy { return c.cfg.Policy }
+// The two state bits hold every line state of internal/coherence, the only
+// states the protocol engines store; the build fails if one outgrows them.
+const _ = uint(stateMask>>stateShift - coherence.LineModified)
 
-// Capacity returns the data capacity in bytes.
-func (c *Cache) Capacity() uint64 { return c.cfg.SizeBytes }
+// word packs a valid line with key's tag, state st and the dirty flag.
+func word(key uint64, st cache.State, dirty bool) uint64 {
+	w := key | uint64(st)<<stateShift
+	if dirty {
+		w |= dirtyBit
+	}
+	return w
+}
 
-// Stats returns a snapshot of the counters (including tag-array and predictor
-// statistics).
+// lineOf unpacks the valid word w held at index i.
+func (c *Cache) lineOf(i int, w uint64) cache.Line {
+	return cache.Line{
+		Block: addr.Block(w>>tagShift<<c.setBits | uint64(i)),
+		State: cache.State(w & stateMask >> stateShift),
+		Dirty: w&dirtyBit != 0,
+	}
+}
+
+// victimOf is the eviction record of word w at index i (invalid when w is).
+func (c *Cache) victimOf(i int, w uint64) cache.Victim {
+	if w&validBit == 0 {
+		return cache.Victim{}
+	}
+	l := c.lineOf(i, w)
+	return cache.Victim{Block: l.Block, State: l.State, Dirty: l.Dirty, Valid: true}
+}
+
+// Stats returns a snapshot of the counters (including predictor statistics).
 func (c *Cache) Stats() Stats {
 	s := c.stats
 	if c.predictor != nil {
@@ -218,15 +283,10 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// TagStats exposes the underlying tag-array counters (hits/misses as seen by
-// the cache structure itself).
-func (c *Cache) TagStats() cache.Stats { return c.tags.Stats() }
-
 // ResetStats clears counters and channel occupancy without evicting contents
 // (used at the warm-up boundary).
 func (c *Cache) ResetStats() {
 	c.stats = Stats{}
-	c.tags.ResetStats()
 	if c.predictor != nil {
 		c.predictor.ResetStats()
 	}
@@ -241,7 +301,7 @@ func (c *Cache) ResetStats() {
 func (c *Cache) Reset() {
 	c.stats = Stats{}
 	c.present = [presentWords]uint64{}
-	c.tags.Reset()
+	clear(c.lines)
 	if c.predictor != nil {
 		c.predictor.Reset()
 	}
@@ -276,19 +336,20 @@ func (c *Cache) Access(now sim.Time, b addr.Block, isWrite bool) AccessResult {
 	if c.predictor != nil {
 		predictedHit = c.predictor.Predict(b)
 	}
-	line, hit := c.tags.Lookup(b)
+	i, key := c.slot(b)
+	w := c.lines[i]
+	hit := w&^metaMask == key
 	if c.predictor != nil {
 		c.predictor.Resolve(predictedHit, hit)
 	}
 	res := AccessResult{Hit: hit, PredictedHit: predictedHit}
 	if hit {
-		res.State = line.State
-		res.Dirty = line.Dirty
+		res.State = cache.State(w & stateMask >> stateShift)
+		res.Dirty = w&dirtyBit != 0
 		if isWrite {
 			c.stats.WriteHits++
 			if c.cfg.Policy == Dirty {
-				line.Dirty = true
-				line.State = coherence.LineModified
+				c.lines[i] = word(key, coherence.LineModified, true)
 			}
 		} else {
 			c.stats.ReadHits++
@@ -308,21 +369,18 @@ func (c *Cache) Access(now sim.Time, b addr.Block, isWrite bool) AccessResult {
 	return res
 }
 
-// Probe checks for block b without touching LRU, statistics or the predictor.
-// It is used by snoops and invalidation filters. The returned time is when
-// the probe completes (one DRAM cache access; snoops cannot use the miss
+// Probe checks for block b without touching statistics or the predictor. It
+// is used by snoops and invalidation filters. The returned time is when the
+// probe completes (one DRAM cache access; snoops cannot use the miss
 // predictor because they must be authoritative).
 func (c *Cache) Probe(now sim.Time, b addr.Block) (line cache.Line, present bool, done sim.Time) {
-	l, ok := c.tags.Probe(b)
+	i, key := c.slot(b)
 	done = c.occupy(now, b).Add(c.cfg.AccessLatency)
-	if ok {
-		return *l, true, done
+	if w := c.lines[i]; w&^metaMask == key {
+		return c.lineOf(i, w), true, done
 	}
 	return cache.Line{}, false, done
 }
-
-// Contains reports whether block b is resident (no timing, no stats).
-func (c *Cache) Contains(b addr.Block) bool { return c.tags.Contains(b) }
 
 // FillResult describes the consequence of inserting a block.
 type FillResult struct {
@@ -335,10 +393,14 @@ type FillResult struct {
 
 // Fill inserts block b at time now with the given coherence state. Under the
 // Clean policy the dirty flag is forced to false regardless of the argument —
-// that is the invariant the C3D protocol depends on. The evicted victim (if
-// any) is reported so the protocol engine can issue a write-back for dirty
-// victims of a Dirty-policy cache.
+// that is the invariant the C3D protocol depends on. Filling a resident block
+// updates its state in place and keeps it dirty if it was. The evicted victim
+// (if any) is reported so the protocol engine can issue a write-back for
+// dirty victims of a Dirty-policy cache.
 func (c *Cache) Fill(now sim.Time, b addr.Block, st cache.State, dirty bool) FillResult {
+	if st == cache.StateInvalid {
+		panic(fmt.Sprintf("dramcache %s: Fill with invalid state", c.cfg.Name))
+	}
 	if c.cfg.Policy == Clean {
 		dirty = false
 		if st == coherence.LineModified {
@@ -349,7 +411,15 @@ func (c *Cache) Fill(now sim.Time, b addr.Block, st cache.State, dirty bool) Fil
 	}
 	c.stats.Fills++
 	c.note(b)
-	victim := c.tags.Fill(b, st, dirty, 0)
+	i, key := c.slot(b)
+	w := c.lines[i]
+	var victim cache.Victim
+	if w&^metaMask == key {
+		dirty = dirty || w&dirtyBit != 0
+	} else {
+		victim = c.victimOf(i, w)
+	}
+	c.lines[i] = word(key, st, dirty)
 	if victim.Valid {
 		c.stats.Evictions++
 		if victim.Dirty {
@@ -366,10 +436,12 @@ func (c *Cache) Fill(now sim.Time, b addr.Block, st cache.State, dirty bool) Fil
 }
 
 // Warm is the functional-warming fill used by sampled simulation: the tag
-// array is updated with a single statistics-free scan and the miss predictor
+// array is updated with a single statistics-free probe and the miss predictor
 // is primed exactly as a detailed fill would prime it, but no counter
 // advances and no channel bandwidth is occupied. The policy invariants of
-// Fill apply unchanged (a Clean cache stores at most a clean Shared copy).
+// Fill apply unchanged (a Clean cache stores at most a clean Shared copy). A
+// resident block keeps its state unless the warmed access is dirty, which
+// sets st and the dirty bit.
 func (c *Cache) Warm(b addr.Block, st cache.State, dirty bool) {
 	if c.cfg.Policy == Clean {
 		dirty = false
@@ -378,18 +450,20 @@ func (c *Cache) Warm(b addr.Block, st cache.State, dirty bool) {
 		}
 	}
 	c.note(b)
-	var victim cache.Victim
-	var hit bool
-	if dirty {
-		victim, hit = c.tags.TouchDirty(b, st, 0)
-	} else {
-		victim, hit = c.tags.Touch(b, st, 0)
-	}
-	if hit || c.predictor == nil {
+	i, key := c.slot(b)
+	w := c.lines[i]
+	if w&^metaMask == key {
+		if dirty {
+			c.lines[i] = word(key, st, true)
+		}
 		return
 	}
-	if victim.Valid {
-		c.predictor.BlockEvicted(victim.Block)
+	c.lines[i] = word(key, st, dirty)
+	if c.predictor == nil {
+		return
+	}
+	if w&validBit != 0 {
+		c.predictor.BlockEvicted(c.lineOf(i, w).Block)
 	}
 	c.predictor.BlockFilled(b)
 }
@@ -402,9 +476,8 @@ func (c *Cache) WarmWrite(b addr.Block) {
 	if c.cfg.Policy != Dirty || !c.mayContain(b) {
 		return
 	}
-	if l, ok := c.tags.Probe(b); ok {
-		l.State = coherence.LineModified
-		l.Dirty = true
+	if i, key := c.slot(b); c.lines[i]&^metaMask == key {
+		c.lines[i] = word(key, coherence.LineModified, true)
 	}
 }
 
@@ -415,8 +488,11 @@ func (c *Cache) WarmInvalidate(b addr.Block) {
 	if !c.mayContain(b) {
 		return
 	}
-	if c.tags.Invalidate(b).Valid && c.predictor != nil {
-		c.predictor.BlockEvicted(b)
+	if i, key := c.slot(b); c.lines[i]&^metaMask == key {
+		c.lines[i] = 0
+		if c.predictor != nil {
+			c.predictor.BlockEvicted(b)
+		}
 	}
 }
 
@@ -424,47 +500,61 @@ func (c *Cache) WarmInvalidate(b addr.Block) {
 // metadata. The predictor is informed so future accesses to the region
 // predict correctly.
 func (c *Cache) Invalidate(b addr.Block) cache.Victim {
-	v := c.tags.Invalidate(b)
-	if v.Valid {
-		c.stats.Invalidates++
-		if c.predictor != nil {
-			c.predictor.BlockEvicted(b)
-		}
+	i, key := c.slot(b)
+	w := c.lines[i]
+	if w&^metaMask != key {
+		return cache.Victim{}
 	}
-	return v
-}
-
-// SetState changes the coherence state of a resident block and reports
-// whether it was present. Setting LineInvalid removes the block (and informs
-// the predictor).
-func (c *Cache) SetState(b addr.Block, st cache.State) bool {
-	if st == coherence.LineInvalid {
-		return c.Invalidate(b).Valid
+	c.lines[i] = 0
+	c.stats.Invalidates++
+	if c.predictor != nil {
+		c.predictor.BlockEvicted(b)
 	}
-	return c.tags.SetState(b, st)
+	return c.victimOf(i, w)
 }
 
 // CleanBlock clears the dirty bit of a resident block (used when a dirty
-// DRAM cache writes a block back but retains it).
-func (c *Cache) CleanBlock(b addr.Block) bool { return c.tags.CleanBlock(b) }
+// DRAM cache writes a block back but retains it) and reports whether the
+// block was resident.
+func (c *Cache) CleanBlock(b addr.Block) bool {
+	i, key := c.slot(b)
+	if c.lines[i]&^metaMask != key {
+		return false
+	}
+	c.lines[i] &^= dirtyBit
+	return true
+}
 
 // ValidLines returns the number of resident blocks (for tests/reporting).
-func (c *Cache) ValidLines() int { return c.tags.ValidLines() }
+func (c *Cache) ValidLines() int {
+	n := 0
+	for _, w := range c.lines {
+		n += int(w & validBit)
+	}
+	return n
+}
 
-// ForEach calls fn for every resident line (diagnostics only).
-func (c *Cache) ForEach(fn func(cache.Line)) { c.tags.ForEach(fn) }
+// ForEach calls fn for every resident line, in index order (diagnostics
+// only). The lines carry block, state and dirty flag; presence bits are
+// always empty, since no level above tracks itself in the DRAM cache.
+func (c *Cache) ForEach(fn func(cache.Line)) {
+	for i, w := range c.lines {
+		if w&validBit != 0 {
+			fn(c.lineOf(i, w))
+		}
+	}
+}
 
 // HasDirtyBlocks reports whether any resident line is dirty. For a
 // Clean-policy cache this must always be false; the machine's invariant
-// checks call it after every run.
+// checks call it after every run. Only valid lines carry a dirty bit (an
+// empty line is the zero word), so it is an OR over the array.
 func (c *Cache) HasDirtyBlocks() bool {
-	dirty := false
-	c.tags.ForEach(func(l cache.Line) {
-		if l.Dirty {
-			dirty = true
-		}
-	})
-	return dirty
+	var acc uint64
+	for _, w := range c.lines {
+		acc |= w
+	}
+	return acc&dirtyBit != 0
 }
 
 // ChannelStats returns occupancy statistics for every channel.
@@ -475,7 +565,3 @@ func (c *Cache) ChannelStats() []sim.ResourceStats {
 	}
 	return out
 }
-
-// SetAccessLatency overrides the access latency (used by the Fig. 10
-// sensitivity study).
-func (c *Cache) SetAccessLatency(l sim.Cycles) { c.cfg.AccessLatency = l }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,5 +152,29 @@ func TestCheckInvariantsDetectsForeignHomedBlocks(t *testing.T) {
 	m.sockets[0].dramCache.Fill(0, addr.BlockOf(addrHomedAt(1, 0)), coherence.LineShared, false)
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "homed at socket 1") {
 		t.Errorf("socket 0 caching a block homed at socket 1: got %v", err)
+	}
+}
+
+// CheckInvariants must be read-only, so it can run mid-run without moving
+// results. Socket 0's cache is also given a block of a page nothing has
+// placed: resolving that block's home through the page table would place the
+// page and count an interleaving fallback.
+func TestCheckInvariantsLeavesPageStatsAlone(t *testing.T) {
+	cfg := testConfig(SharedDRAM)
+	cfg.Scale = 512
+	tr := workload.MustGenerate(workload.MustGet("streamcluster"),
+		workload.Options{Threads: cfg.Cores(), Scale: cfg.Scale, AccessesPerThread: 2000})
+	m := New(cfg)
+	if _, err := m.Run(context.Background(), tr, DefaultRunOptions()); err != nil {
+		t.Fatal(err)
+	}
+	unplaced := addr.Addr(1 << 44) // page 2^32, interleaved onto socket 0
+	m.sockets[0].dramCache.Fill(0, addr.BlockOf(unplaced), coherence.LineShared, false)
+	before := m.PageTable().Stats()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if after := m.PageTable().Stats(); !reflect.DeepEqual(before, after) {
+		t.Errorf("CheckInvariants changed the page statistics:\n before %+v\n after  %+v", before, after)
 	}
 }

@@ -426,13 +426,14 @@ func (m *Machine) CheckInvariants() error {
 }
 
 // checkHoming reports the first block in socket s's memory-side DRAM cache
-// that is homed at another socket.
+// that is homed at another socket. It peeks at the page table rather than
+// resolving homes, so an unplaced page is not placed by the check.
 func (m *Machine) checkHoming(s *Socket) error {
 	var err error
 	s.dramCache.ForEach(func(l cache.Line) {
-		if home := m.home(l.Block); err == nil && home != s {
+		if home := m.pageTable.PeekHome(addr.PageOfBlock(l.Block)); err == nil && home != s.id {
 			err = fmt.Errorf("machine: socket %d memory-side DRAM cache holds block %#x homed at socket %d",
-				s.id, uint64(l.Block), home.id)
+				s.id, uint64(l.Block), home)
 		}
 	})
 	return err

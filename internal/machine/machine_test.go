@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"c3d/internal/addr"
+	"c3d/internal/cache"
+	"c3d/internal/dramcache"
 	"c3d/internal/numa"
 	"c3d/internal/sim"
 )
@@ -21,6 +23,14 @@ func testConfig(design Design) Config {
 // under the interleaved policy (page p -> socket p mod 4).
 func addrHomedAt(socket int, offset uint64) addr.Addr {
 	return addr.Addr(uint64(socket)*addr.PageBytes + offset)
+}
+
+// dramCacheHolds reports whether block b is resident in dc, without
+// occupying a channel or touching its statistics.
+func dramCacheHolds(dc *dramcache.Cache, b addr.Block) bool {
+	held := false
+	dc.ForEach(func(l cache.Line) { held = held || l.Block == b })
+	return held
 }
 
 func TestReadHitLatencies(t *testing.T) {
@@ -147,7 +157,7 @@ func TestC3DLocalDRAMCacheHitAfterLLCEviction(t *testing.T) {
 	if m.Sockets()[0].LLC().Contains(addr.BlockOf(target)) {
 		t.Skip("conflict stream did not evict the target; LLC geometry changed")
 	}
-	if !m.Sockets()[0].DRAMCache().Contains(addr.BlockOf(target)) {
+	if !dramCacheHolds(m.Sockets()[0].DRAMCache(), addr.BlockOf(target)) {
 		t.Fatal("LLC victim should have been captured by the local DRAM cache")
 	}
 	// Re-reading the target now hits the local DRAM cache: no new memory
@@ -179,7 +189,7 @@ func TestC3DWriteBroadcastsForUntrackedBlocks(t *testing.T) {
 	if m.Sockets()[3].LLC().Contains(addr.BlockOf(a)) {
 		t.Error("socket 3 LLC copy survived the broadcast")
 	}
-	if m.Sockets()[3].DRAMCache().Contains(addr.BlockOf(a)) {
+	if dramCacheHolds(m.Sockets()[3].DRAMCache(), addr.BlockOf(a)) {
 		t.Error("socket 3 DRAM cache copy survived the broadcast")
 	}
 }

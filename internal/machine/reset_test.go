@@ -79,8 +79,13 @@ func TestResetClearsState(t *testing.T) {
 		if n := s.LLC().ValidLines(); n != 0 {
 			t.Errorf("socket %d LLC still holds %d lines after Reset", s.ID(), n)
 		}
-		if s.DRAMCache() != nil && s.DRAMCache().TagStats().Accesses() != 0 {
-			t.Errorf("socket %d DRAM cache stats not cleared", s.ID())
+		if dc := s.DRAMCache(); dc != nil {
+			if dc.Stats().Accesses() != 0 {
+				t.Errorf("socket %d DRAM cache stats not cleared", s.ID())
+			}
+			if n := dc.ValidLines(); n != 0 {
+				t.Errorf("socket %d DRAM cache still holds %d lines after Reset", s.ID(), n)
+			}
 		}
 		if st := s.Memory().Stats(); st.Reads != 0 || st.Writes != 0 {
 			t.Errorf("socket %d memory stats not cleared: %+v", s.ID(), st)

@@ -196,6 +196,16 @@ func (pt *PageTable) Home(p addr.Page) int {
 	return h
 }
 
+// PeekHome returns the home Home would resolve for page p right now, without
+// placing an unplaced page or counting its fallback: it never changes the
+// table or its statistics, so read-only checks may call it mid-run.
+func (pt *PageTable) PeekHome(p addr.Page) int {
+	if h := pt.placed(p); h >= 0 {
+		return h
+	}
+	return pt.interleaveHome(p)
+}
+
 // HomeOfBlock resolves the home socket of the page containing block b.
 func (pt *PageTable) HomeOfBlock(b addr.Block) int {
 	return pt.Home(addr.PageOfBlock(b))
